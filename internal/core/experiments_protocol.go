@@ -75,7 +75,9 @@ func (s *Study) Table11() Table11Result {
 				continue
 			}
 			// A scanner counts as ∼HTTP when its identified payloads
-			// on the port are predominantly non-HTTP.
+			// on the port are predominantly non-HTTP. Its dominant
+			// protocol is the most frequent non-HTTP one, ties going to
+			// the lowest Protocol so map order cannot pick the winner.
 			http := info.protos[fingerprint.HTTP]
 			other := 0
 			var domProto fingerprint.Protocol
@@ -83,7 +85,7 @@ func (s *Study) Table11() Table11Result {
 			for proto, n := range info.protos {
 				if proto != fingerprint.HTTP {
 					other += n
-					if n > domN {
+					if n > domN || (n == domN && proto < domProto) {
 						domN, domProto = n, proto
 					}
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -309,6 +310,34 @@ func TestTable11UnexpectedProtocolShape(t *testing.T) {
 	}
 	if !strings.Contains(r.TopBenign, "Censys") {
 		t.Errorf("leading benign unexpected-service finder = %q, want Censys", r.TopBenign)
+	}
+}
+
+// TestTable11DominantProtocolTieIsDeterministic pins the tie-break of
+// a ∼HTTP scanner's dominant protocol. On this study (the root
+// package's QuickStudy(2, 2021)) a port-80 scanner's identified
+// payloads at prefix 1 split evenly between two non-HTTP protocols;
+// the winner must not depend on map iteration order, so repeated
+// computations agree.
+func TestTable11DominantProtocolTieIsDeterministic(t *testing.T) {
+	cfg := DefaultConfig(2, 2021)
+	cfg.Deploy.TelescopeSlash24s = 32
+	cfg.Deploy.HoneytrapPerCloud = 16
+	cfg.Deploy.HurricaneIPs = 16
+	cfg.Actors.Scale = 0.35
+	es, err := GenerateEpochs(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := es.Snapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Table11()
+	for i := 1; i < 20; i++ {
+		if got := snap.Table11(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("computation %d: by-protocol counts %v, first computation %v", i, got.ByProto, want.ByProto)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func runFamily(job famJob, char Characteristic, k int) *familyResult {
 		zeros: make([]int, n),
 	}
 	if char == CharFracMalicious {
-		parallelEach(n, func(i int) {
+		ParallelEach(n, func(i int) {
 			p := job.pairs[i]
 			res.fam.Pairs[i] = binaryPair(job.labels[i], job.sides[p[0]], job.sides[p[1]])
 		})
@@ -110,7 +110,7 @@ func runFamily(job famJob, char Characteristic, k int) *familyResult {
 	}
 	set := stats.NewBatchSet(k, sums)
 	chunks := (n + famChunk - 1) / famChunk
-	parallelEach(chunks, func(c int) {
+	ParallelEach(chunks, func(c int) {
 		lo, hi := c*famChunk, (c+1)*famChunk
 		if hi > n {
 			hi = n

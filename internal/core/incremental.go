@@ -257,7 +257,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 
 	// Judge payloads first seen this epoch, in parallel (the verdict is
 	// a pure function of payload bytes and anchor transport/port).
-	parallelEach(len(newPays), func(k int) {
+	ParallelEach(len(newPays), func(k int) {
 		pay := newPays[k]
 		v := int8(0)
 		if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
@@ -297,7 +297,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 	added := n - base
 	chunks := (added + verdictChunk - 1) / verdictChunk
 	var gnMu sync.Mutex
-	parallelEach(chunks, func(c int) {
+	ParallelEach(chunks, func(c int) {
 		lo, hi := base+c*verdictChunk, base+(c+1)*verdictChunk
 		if hi > n {
 			hi = n

@@ -112,8 +112,10 @@ func (es *EpochSet) Material() *StudyMaterial {
 // generated material is installed without running a single actor, and
 // the result serves snapshots byte-identical to the set the material
 // was exported from. The material is validated structurally (shape,
-// range bounds, column agreement) so a corrupted or mismatched store
-// fails here instead of producing a silently wrong study.
+// range bounds, column agreement) and by value domain (vantage ids,
+// payload ids, credential indices, each actor's emission sequence) so
+// a corrupted or mismatched store fails here instead of panicking,
+// hanging, or producing a silently wrong study.
 func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 	if want, got := scanners.CanonicalScenario(cfg.Actors.Scenario), scanners.CanonicalScenario(m.Scenario); want != got {
 		return nil, fmt.Errorf("core: material was generated under scenario %q, study is configured for %q", got, want)
@@ -152,11 +154,15 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			if len(sm.Seq) != sm.Blk.Len() {
 				return nil, fmt.Errorf("core: epoch %d worker %d has %d seqs for %d records", e, w, len(sm.Seq), sm.Blk.Len())
 			}
+			if err := validateBlock(sm.Blk, len(es.u.Targets()), netsim.PayloadCount()); err != nil {
+				return nil, fmt.Errorf("core: epoch %d worker %d: %w", e, w, err)
+			}
 			es.sinks[w][e] = &epochSink{tel: sm.Tel, gn: sm.GN, blk: *sm.Blk, seq: sm.Seq}
 		}
 	}
 
 	es.runs = make([]actorRuns, len(es.actors))
+	var seen []uint64 // per-actor seq bitmap, reused across actors
 	for i := range es.actors {
 		w := m.ActorWorker[i]
 		if w < 0 || int(w) >= m.Workers {
@@ -170,7 +176,75 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			}
 			run.lo[e], run.hi[e] = lo, hi
 		}
+		var err error
+		if seen, err = validateSeqs(&run, seen); err != nil {
+			return nil, fmt.Errorf("core: actor %d: %w", i, err)
+		}
 		es.runs[i] = run
 	}
 	return es, nil
+}
+
+// validateBlock checks a record block's columns agree in length and
+// hold only values the assembly can index with: vantage ids inside the
+// universe's targets, payload ids inside the interner, credential
+// indices inside the block's arena (or -1).
+func validateBlock(b *netsim.RecordBlock, targets, payloads int) error {
+	n := b.Len()
+	for _, col := range []int{len(b.Vantage), len(b.Nsec), len(b.Src), len(b.ASN), len(b.Port), len(b.Transport), len(b.Pay), len(b.Cred)} {
+		if col != n {
+			return fmt.Errorf("record columns disagree on length (%d vs %d)", col, n)
+		}
+	}
+	// One unsigned compare per value bounds it on both sides.
+	for r, v := range b.Vantage {
+		if uint32(v) >= uint32(targets) {
+			return fmt.Errorf("record %d vantage id %d outside %d targets", r, v, targets)
+		}
+	}
+	for r, p := range b.Pay {
+		if uint32(p) >= uint32(payloads) {
+			return fmt.Errorf("record %d payload id %d outside %d interned payloads", r, p, payloads)
+		}
+	}
+	for r, c := range b.Cred {
+		if uint32(c+1) > uint32(len(b.CredLists)) {
+			return fmt.Errorf("record %d credential index %d outside arena of %d", r, c, len(b.CredLists))
+		}
+	}
+	return nil
+}
+
+// validateSeqs checks one actor's emission sequence: strictly
+// increasing within each epoch run, and across all runs a permutation
+// of 0..n-1 for the actor's n records. That is exactly what generation
+// produces, and what the snapshot's k-way merge needs to make progress
+// (a repeated seq would stall it). seen is a reusable bitmap; the
+// possibly grown one is returned.
+func validateSeqs(run *actorRuns, seen []uint64) ([]uint64, error) {
+	n := 0
+	for e := range run.lo {
+		n += int(run.hi[e] - run.lo[e])
+	}
+	words := (n + 63) / 64
+	if cap(seen) < words {
+		seen = make([]uint64, words)
+	}
+	seen = seen[:words]
+	clear(seen)
+	for e, sink := range run.sinks {
+		prev := int32(-1)
+		for _, sq := range sink.seq[run.lo[e]:run.hi[e]] {
+			if sq <= prev || int(sq) >= n {
+				return seen, fmt.Errorf("epoch %d emission seq %d out of order or outside [0, %d)", e, sq, n)
+			}
+			word, bit := &seen[uint32(sq)/64], uint64(1)<<(uint32(sq)%64)
+			if *word&bit != 0 {
+				return seen, fmt.Errorf("emission seq %d repeats across epochs", sq)
+			}
+			*word |= bit
+			prev = sq
+		}
+	}
+	return seen, nil
 }

@@ -243,7 +243,7 @@ func (s *Study) buildVerdicts() {
 	for i := range s.malByPay {
 		s.malByPay[i] = -1
 	}
-	parallelEach(len(distinct), func(k int) {
+	ParallelEach(len(distinct), func(k int) {
 		pay := distinct[k]
 		ri := firstRec[pay]
 		v := int8(0)
@@ -258,7 +258,7 @@ func (s *Study) buildVerdicts() {
 	s.mal = make([]bool, n)
 	chunks := (n + verdictChunk - 1) / verdictChunk
 	var gnMu sync.Mutex
-	parallelEach(chunks, func(c int) {
+	ParallelEach(chunks, func(c int) {
 		lo, hi := c*verdictChunk, (c+1)*verdictChunk
 		if hi > n {
 			hi = n
@@ -287,11 +287,12 @@ func (s *Study) buildVerdicts() {
 // enough to load-balance.
 const verdictChunk = 65536
 
-// parallelEach runs fn(i) for every i in [0, n) across up to
+// ParallelEach runs fn(i) for every i in [0, n) across up to
 // GOMAXPROCS goroutines and waits for completion. fn must be safe to
 // call concurrently for distinct i. Used to fan out the read side of
-// the pipeline (per-vantage record and view building).
-func parallelEach(n int, fn func(int)) {
+// the pipeline (per-vantage record and view building) and the store's
+// per-epoch frame encode and decode.
+func ParallelEach(n int, fn func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

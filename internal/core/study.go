@@ -266,7 +266,7 @@ func (s *Study) VantageEach(id string, fn func(rec netsim.Record)) {
 func (s *Study) RegionRecords(region string) map[string][]netsim.Record {
 	targets := s.U.Region(region)
 	gathered := make([][]netsim.Record, len(targets))
-	parallelEach(len(targets), func(i int) {
+	ParallelEach(len(targets), func(i int) {
 		gathered[i] = s.VantageRecords(targets[i].ID)
 	})
 	out := make(map[string][]netsim.Record, len(targets))

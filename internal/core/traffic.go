@@ -232,7 +232,7 @@ func (s *Study) buildVantageView(id string, slice ProtocolSlice) *View {
 // group merges are deterministic.
 func (s *Study) vantageViews(targets []*netsim.Target, slice ProtocolSlice) []*View {
 	views := make([]*View, len(targets))
-	parallelEach(len(targets), func(i int) {
+	ParallelEach(len(targets), func(i int) {
 		views[i] = s.VantageView(targets[i].ID, slice)
 	})
 	return views

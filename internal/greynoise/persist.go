@@ -11,30 +11,18 @@ import (
 // run caches are observe-time transients, and a restored delta is only
 // ever folded into a Service with MergeDelta.
 
+// BinarySize returns the exact number of bytes AppendBinary writes.
+func (d *Delta) BinarySize() int { return 8 + 4*(len(d.seen)+len(d.exploited)) }
+
 // AppendBinary serializes the delta's observation sets onto dst.
 func (d *Delta) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendU32(dst, uint32(len(d.seen)))
-	for src := range d.seen {
-		dst = wire.AppendU32(dst, uint32(src))
-	}
-	dst = wire.AppendU32(dst, uint32(len(d.exploited)))
-	for src := range d.exploited {
-		dst = wire.AppendU32(dst, uint32(src))
-	}
-	return dst
+	dst = wire.AppendAddrSet(dst, d.seen)
+	return wire.AppendAddrSet(dst, d.exploited)
 }
 
 // DecodeDelta reads one serialized delta.
 func DecodeDelta(r *wire.BinReader) (*Delta, error) {
-	d := NewDelta()
-	n := r.Count(4)
-	for i := 0; i < n; i++ {
-		d.seen[wire.Addr(r.U32())] = struct{}{}
-	}
-	n = r.Count(4)
-	for i := 0; i < n; i++ {
-		d.exploited[wire.Addr(r.U32())] = struct{}{}
-	}
+	d := &Delta{seen: wire.ReadAddrSet(r), exploited: wire.ReadAddrSet(r)}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("greynoise: decoding delta: %w", err)
 	}

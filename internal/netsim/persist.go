@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cloudwatch/internal/wire"
 )
@@ -20,29 +22,37 @@ import (
 // returns the old-id → new-id remap DecodeRecordBlock applies to the
 // Pay column.
 
-// AppendBinary serializes the block onto dst and returns the extended
-// buffer.
-func (b *RecordBlock) AppendBinary(dst []byte) []byte {
+// BinarySize returns the exact number of bytes AppendBinary writes.
+func (b *RecordBlock) BinarySize() int {
 	n := b.Len()
-	dst = wire.AppendU32(dst, uint32(n))
-	dst = wire.AppendI32s(dst, b.Vantage)
-	dst = wire.AppendI32s(dst, b.Sec)
-	dst = wire.AppendI32s(dst, b.Nsec)
-	dst = wire.AppendAddrs(dst, b.Src)
-	dst = wire.AppendI32s(dst, b.ASN)
-	dst = wire.AppendU32(dst, uint32(len(b.Port)))
-	for _, p := range b.Port {
-		dst = wire.AppendU16(dst, p)
+	// Record count, then nine count-prefixed columns: seven of 4-byte
+	// values, Port at 2 bytes, Transport at 1.
+	size := 4 + 9*4 + (7*4+2+1)*n
+	size += 4 // credential-list count
+	for _, creds := range b.CredLists {
+		size += 4 + 8*len(creds)
+		for _, c := range creds {
+			size += len(c.Username) + len(c.Password)
+		}
 	}
-	dst = wire.AppendU32(dst, uint32(len(b.Transport)))
-	for _, tr := range b.Transport {
-		dst = wire.AppendU8(dst, uint8(tr))
-	}
-	dst = wire.AppendU32(dst, uint32(len(b.Pay)))
-	for _, pay := range b.Pay {
-		dst = wire.AppendI32(dst, int32(pay))
-	}
-	dst = wire.AppendI32s(dst, b.Cred)
+	return size
+}
+
+// AppendBinary serializes the block onto dst and returns the extended
+// buffer. It reserves the block's exact size once, so a caller that
+// presized dst (BinarySize) pays no growth at all.
+func (b *RecordBlock) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, b.BinarySize())
+	dst = wire.AppendU32(dst, uint32(b.Len()))
+	dst = wire.AppendU32s(dst, b.Vantage)
+	dst = wire.AppendU32s(dst, b.Sec)
+	dst = wire.AppendU32s(dst, b.Nsec)
+	dst = wire.AppendU32s(dst, b.Src)
+	dst = wire.AppendU32s(dst, b.ASN)
+	dst = wire.AppendU16s(dst, b.Port)
+	dst = wire.AppendU8s(dst, b.Transport)
+	dst = wire.AppendU32s(dst, b.Pay)
+	dst = wire.AppendU32s(dst, b.Cred)
 	dst = wire.AppendU32(dst, uint32(len(b.CredLists)))
 	for _, creds := range b.CredLists {
 		dst = wire.AppendU32(dst, uint32(len(creds)))
@@ -57,53 +67,33 @@ func (b *RecordBlock) AppendBinary(dst []byte) []byte {
 // DecodeRecordBlock reads one serialized block, rewriting the Pay
 // column through remap (old on-disk id → id in this process, from
 // DecodePayloadDict). Every column must carry the same record count.
+// Each column is taken from the buffer in one bounds-checked step and
+// converted in a loop; credential strings are interned per block, so
+// the few distinct usernames and passwords a block repeats thousands
+// of times are allocated once each.
 func DecodeRecordBlock(r *wire.BinReader, remap []PayloadID) (RecordBlock, error) {
 	var b RecordBlock
 	n := int(r.U32())
-	b.Vantage = r.I32s()
-	b.Sec = r.I32s()
-	b.Nsec = r.I32s()
-	b.Src = r.Addrs()
-	b.ASN = r.I32s()
-
-	nPort := r.Count(2)
-	if r.Err() == nil && nPort > 0 {
-		b.Port = make([]uint16, nPort)
-		for i := range b.Port {
-			b.Port[i] = r.U16()
-		}
-	}
-	nTr := r.Count(1)
-	if r.Err() == nil && nTr > 0 {
-		b.Transport = make([]wire.Transport, nTr)
-		for i := range b.Transport {
-			b.Transport[i] = wire.Transport(r.U8())
-		}
-	}
-	nPay := r.Count(4)
-	if r.Err() == nil && nPay > 0 {
+	b.Vantage = wire.ReadU32s[int32](r)
+	b.Sec = wire.ReadU32s[int32](r)
+	b.Nsec = wire.ReadU32s[int32](r)
+	b.Src = wire.ReadU32s[wire.Addr](r)
+	b.ASN = wire.ReadU32s[int32](r)
+	b.Port = wire.ReadU16s[uint16](r)
+	b.Transport = wire.ReadU8s[wire.Transport](r)
+	if nPay, raw := r.Column(4); nPay > 0 {
 		b.Pay = make([]PayloadID, nPay)
 		for i := range b.Pay {
-			old := r.I32()
+			old := int32(binary.LittleEndian.Uint32(raw))
+			raw = raw[4:]
 			if old < 0 || int(old) >= len(remap) {
 				return b, fmt.Errorf("netsim: record block payload id %d outside dictionary of %d", old, len(remap))
 			}
 			b.Pay[i] = remap[old]
 		}
 	}
-	b.Cred = r.I32s()
-
-	nLists := r.Count(4)
-	if r.Err() == nil && nLists > 0 {
-		b.CredLists = make([][]Credential, nLists)
-		for i := range b.CredLists {
-			creds := make([]Credential, r.Count(8))
-			for j := range creds {
-				creds[j] = Credential{Username: r.String(), Password: r.String()}
-			}
-			b.CredLists[i] = creds
-		}
-	}
+	b.Cred = wire.ReadU32s[int32](r)
+	b.CredLists = decodeCredLists(r)
 	if err := r.Err(); err != nil {
 		return b, fmt.Errorf("netsim: decoding record block: %w", err)
 	}
@@ -113,11 +103,44 @@ func DecodeRecordBlock(r *wire.BinReader, remap []PayloadID) (RecordBlock, error
 		}
 	}
 	for _, c := range b.Cred {
-		if c >= 0 && int(c) >= len(b.CredLists) {
+		if c < -1 || int(c) >= len(b.CredLists) {
 			return b, fmt.Errorf("netsim: record block credential index %d outside arena of %d", c, len(b.CredLists))
 		}
 	}
 	return b, nil
+}
+
+// decodeCredLists reads the credential arena, interning its strings
+// per block: a block repeats a few dozen distinct usernames and
+// passwords hundreds of thousands of times.
+func decodeCredLists(r *wire.BinReader) [][]Credential {
+	nLists := r.Count(4)
+	if r.Err() != nil || nLists == 0 {
+		return nil
+	}
+	tab := interner{}
+	lists := make([][]Credential, nLists)
+	for i := range lists {
+		creds := make([]Credential, r.Count(8))
+		for j := range creds {
+			creds[j] = Credential{Username: tab.intern(r.View()), Password: tab.intern(r.View())}
+		}
+		lists[i] = creds
+	}
+	return lists
+}
+
+// interner deduplicates decoded strings; the lookup with a converted
+// []byte key does not allocate.
+type interner map[string]string
+
+func (t interner) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	t[s] = s
+	return s
 }
 
 // AppendPayloadDict serializes the payload interner's current table

@@ -41,6 +41,9 @@ type File interface {
 	// Sync forces written data to stable storage; until it returns,
 	// writes may be lost by a crash.
 	Sync() error
+	// Stat reports the file's metadata; readers use its size to read a
+	// whole file into one exactly sized buffer.
+	Stat() (fs.FileInfo, error)
 	Close() error
 }
 
@@ -65,7 +68,9 @@ func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, 
 func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
 // readFile reads a whole file through an FS, distinguishing "absent"
-// (nil, nil) from real errors.
+// (nil, nil) from real errors. The buffer is sized from Stat, so a
+// segment of tens of megabytes is read with one allocation instead of
+// a chain of doublings; a file that grew since Stat still reads whole.
 func readFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.OpenFile(name, os.O_RDONLY)
 	if err != nil {
@@ -75,5 +80,23 @@ func readFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// One spare byte lets the read that reports EOF land without growth.
+	buf := make([]byte, 0, st.Size()+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }

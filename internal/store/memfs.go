@@ -5,7 +5,9 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
+	"time"
 )
 
 // MemFS is an in-memory FS that models the durability contract the
@@ -217,6 +219,29 @@ func (f *memFile) Sync() error {
 	f.node.everSynced = true
 	return nil
 }
+
+func (f *memFile) Stat() (fs.FileInfo, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.closed {
+		return nil, fs.ErrClosed
+	}
+	return memFileInfo{name: filepath.Base(f.name), size: int64(len(f.node.data))}, nil
+}
+
+// memFileInfo is the fs.FileInfo of a MemFS file: a regular file whose
+// size is its current (volatile) image.
+type memFileInfo struct {
+	name string
+	size int64
+}
+
+func (fi memFileInfo) Name() string       { return fi.name }
+func (fi memFileInfo) Size() int64        { return fi.size }
+func (fi memFileInfo) Mode() fs.FileMode  { return 0o644 }
+func (fi memFileInfo) ModTime() time.Time { return time.Time{} }
+func (fi memFileInfo) IsDir() bool        { return false }
+func (fi memFileInfo) Sys() any           { return nil }
 
 func (f *memFile) Close() error {
 	f.fs.mu.Lock()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -50,12 +51,29 @@ type frame struct {
 	payload []byte
 }
 
-func appendFrame(dst []byte, typ uint8, payload []byte) []byte {
-	start := len(dst)
-	dst = wire.AppendU8(dst, typ)
-	dst = wire.AppendU32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
+// frameOverhead is the bytes a frame adds around its payload: the
+// type byte and length prefix before it, the checksum after it.
+const frameOverhead = 1 + 4 + 4
+
+// beginFrame reserves a frame header in place; the caller appends the
+// payload directly after it and seals the frame with endFrame, so no
+// payload is ever built in a side buffer and copied.
+func beginFrame(dst []byte, typ uint8) (ext []byte, start int) {
+	start = len(dst)
+	return append(dst, typ, 0, 0, 0, 0), start
+}
+
+// endFrame backfills the length of the frame begun at start and
+// appends its checksum (over type, length, and payload).
+func endFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(dst)-start-5))
 	return wire.AppendU32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// appendFrame appends a whole frame around an already built payload.
+func appendFrame(dst []byte, typ uint8, payload []byte) []byte {
+	dst, start := beginFrame(dst, typ)
+	return endFrame(append(dst, payload...), start)
 }
 
 // scanSegment walks the raw segment image and returns every frame up
@@ -76,13 +94,12 @@ func scanSegment(buf []byte) (frames []frame, validLen int) {
 		if len(rest) < 5 {
 			break
 		}
-		n := int(uint32(rest[1]) | uint32(rest[2])<<8 | uint32(rest[3])<<16 | uint32(rest[4])<<24)
+		n := int(binary.LittleEndian.Uint32(rest[1:]))
 		if n >= maxFrameLen || len(rest) < 5+n+4 {
 			break
 		}
 		body := rest[:5+n]
-		sum := uint32(rest[5+n]) | uint32(rest[5+n+1])<<8 | uint32(rest[5+n+2])<<16 | uint32(rest[5+n+3])<<24
-		if crc32.ChecksumIEEE(body) != sum {
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest[5+n:]) {
 			break
 		}
 		frames = append(frames, frame{typ: body[0], payload: body[5:]})
@@ -91,35 +108,74 @@ func scanSegment(buf []byte) (frames []frame, validLen int) {
 	return frames, off
 }
 
-// encodeSegment serializes a full study into segment bytes.
+// encodeSegment serializes a full study into segment bytes. The
+// segment's exact size is computed first, so the whole image is one
+// allocation and every frame is encoded in place. Epoch frames are
+// independent, so each is encoded concurrently into its own exactly
+// sized window of the image.
 func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
-	buf := wire.AppendU32([]byte(segMagic), segVersion)
-
-	buf = appendFrame(buf, frameConfig, configJSON)
-	buf = appendFrame(buf, frameDict, netsim.AppendPayloadDict(nil))
-
-	var layout []byte
-	layout = wire.AppendU32(layout, uint32(m.Workers))
-	layout = wire.AppendU32(layout, uint32(len(m.Epochs)))
-	layout = wire.AppendString(layout, m.Scenario)
-	layout = wire.AppendI32s(layout, m.ActorWorker)
-	buf = appendFrame(buf, frameLayout, layout)
-
+	dict := netsim.AppendPayloadDict(nil)
+	layoutSize := 4 + 4 + 4 + len(m.Scenario) + 4 + 4*len(m.ActorWorker)
+	head := len(segMagic) + 4 + 3*frameOverhead + len(configJSON) + len(dict) + layoutSize
+	ends := make([]int, len(m.Epochs)) // end offset of each epoch frame
+	size := head
 	for e := range m.Epochs {
+		size += frameOverhead + epochSize(&m.Epochs[e])
+		ends[e] = size
+	}
+
+	buf := make([]byte, 0, size)
+	buf = append(buf, segMagic...)
+	buf = wire.AppendU32(buf, segVersion)
+	buf = appendFrame(buf, frameConfig, configJSON)
+	buf = appendFrame(buf, frameDict, dict)
+	buf, at := beginFrame(buf, frameLayout)
+	buf = wire.AppendU32(buf, uint32(m.Workers))
+	buf = wire.AppendU32(buf, uint32(len(m.Epochs)))
+	buf = wire.AppendString(buf, m.Scenario)
+	buf = wire.AppendI32s(buf, m.ActorWorker)
+	buf = endFrame(buf, at)
+	if len(buf) != head {
+		panic(fmt.Sprintf("store: segment header encoded to %d bytes, sized %d", len(buf), head))
+	}
+
+	buf = buf[:size]
+	core.ParallelEach(len(m.Epochs), func(e int) {
+		start := head
+		if e > 0 {
+			start = ends[e-1]
+		}
+		// A window with no spare capacity: an encoder that outgrew its
+		// computed size would reallocate away from the image, which the
+		// length check below turns into a loud failure.
+		win := buf[start:start:ends[e]]
+		win, at := beginFrame(win, frameEpoch)
 		em := &m.Epochs[e]
-		var p []byte
 		for w := range em.Sinks {
 			sm := &em.Sinks[w]
-			p = sm.Tel.AppendBinary(p)
-			p = sm.GN.AppendBinary(p)
-			p = sm.Blk.AppendBinary(p)
-			p = wire.AppendI32s(p, sm.Seq)
+			win = sm.Tel.AppendBinary(win)
+			win = sm.GN.AppendBinary(win)
+			win = sm.Blk.AppendBinary(win)
+			win = wire.AppendI32s(win, sm.Seq)
 		}
-		p = wire.AppendI32s(p, em.Lo)
-		p = wire.AppendI32s(p, em.Hi)
-		buf = appendFrame(buf, frameEpoch, p)
-	}
+		win = wire.AppendI32s(win, em.Lo)
+		win = wire.AppendI32s(win, em.Hi)
+		win = endFrame(win, at)
+		if len(win) != ends[e]-start || &win[0] != &buf[start] {
+			panic(fmt.Sprintf("store: epoch %d frame encoded to %d bytes, sized %d", e, len(win), ends[e]-start))
+		}
+	})
 	return buf
+}
+
+// epochSize is the exact payload size of one epoch frame.
+func epochSize(em *core.EpochMaterial) int {
+	size := 4 + 4*len(em.Lo) + 4 + 4*len(em.Hi)
+	for w := range em.Sinks {
+		sm := &em.Sinks[w]
+		size += sm.Tel.BinarySize() + sm.GN.BinarySize() + sm.Blk.BinarySize() + 4 + 4*len(sm.Seq)
+	}
+	return size
 }
 
 // decodeFrames rebuilds the persisted study from a valid frame
@@ -173,20 +229,35 @@ func decodeFrames(frames []frame) (configJSON []byte, m *core.StudyMaterial, rea
 		Epochs:      make([]core.EpochMaterial, epochs),
 	}
 	for e := 0; e < epochs; e++ {
-		fr := frames[3+e]
-		if fr.typ != frameEpoch {
-			return nil, nil, fmt.Sprintf("frame %d: type %d where epoch expected", 3+e, fr.typ)
+		if typ := frames[3+e].typ; typ != frameEpoch {
+			return nil, nil, fmt.Sprintf("frame %d: type %d where epoch expected", 3+e, typ)
 		}
-		em, err := decodeEpoch(fr.payload, workers, remap)
+	}
+	// Epoch frames decode independently once the payload remap is
+	// built; the first failing epoch (by index) is the one reported.
+	errs := make([]error, epochs)
+	core.ParallelEach(epochs, func(e int) {
+		em, err := decodeEpoch(frames[3+e].payload, workers, remap)
+		if err != nil {
+			errs[e] = err
+			return
+		}
+		m.Epochs[e] = *em
+	})
+	for e, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Sprintf("epoch %d: %v", e, err)
 		}
-		m.Epochs[e] = *em
 	}
 	return cfgJSON, m, ""
 }
 
 func decodeEpoch(payload []byte, workers int, remap []netsim.PayloadID) (*core.EpochMaterial, error) {
+	// Every sink encodes to dozens of bytes, so a worker count the
+	// payload cannot hold fails before the sinks are allocated.
+	if workers > len(payload) {
+		return nil, fmt.Errorf("%d workers in a %d-byte frame", workers, len(payload))
+	}
 	r := wire.NewBinReader(payload)
 	em := &core.EpochMaterial{Sinks: make([]core.SinkMaterial, workers)}
 	for w := 0; w < workers; w++ {

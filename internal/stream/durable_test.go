@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/obs"
 	"cloudwatch/internal/store"
 )
 
@@ -177,6 +178,82 @@ func TestOpenRegeneratesTornStore(t *testing.T) {
 	}
 	if !eng3.Recovered() {
 		t.Fatal("rewritten store did not recover")
+	}
+}
+
+// TestOpenRegeneratesInvalidMaterial covers material that every frame
+// checksum accepts but that holds values outside their domain — the
+// writer-bug case the CRC cannot catch. Restore must reject it, and
+// Open must regenerate (counted as such), serve the same bytes as the
+// original engine, and leave a store that recovers on the next open.
+func TestOpenRegeneratesInvalidMaterial(t *testing.T) {
+	const epochs = 2
+	cfg := Config{Study: testStudyConfig(42, 2021), Epochs: epochs}
+	regenerated := obs.Default().Counter("store_recovery_total", "Store recovery outcomes.", obs.L("outcome", "regenerated"))
+
+	// edit returns a copy of m whose epoch-e, worker-0 sink went
+	// through mutate (which copies any column it changes).
+	edit := func(m *core.StudyMaterial, e int, mutate func(sm *core.SinkMaterial)) *core.StudyMaterial {
+		bad := *m
+		bad.Epochs = append([]core.EpochMaterial(nil), m.Epochs...)
+		sinks := append([]core.SinkMaterial(nil), bad.Epochs[e].Sinks...)
+		blk := *sinks[0].Blk
+		sinks[0].Blk = &blk
+		mutate(&sinks[0])
+		bad.Epochs[e].Sinks = sinks
+		return &bad
+	}
+	for name, mutate := range map[string]func(sm *core.SinkMaterial){
+		"vantage id past targets": func(sm *core.SinkMaterial) {
+			sm.Blk.Vantage = append([]int32(nil), sm.Blk.Vantage...)
+			sm.Blk.Vantage[0] = 1 << 20
+		},
+		"repeated emission seqs": func(sm *core.SinkMaterial) {
+			sm.Seq = make([]int32, len(sm.Seq))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fsys := store.NewMemFS()
+			st := openTestStore(t, fsys)
+			eng, err := Open(cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.IngestAll(); err != nil {
+				t.Fatal(err)
+			}
+			want := renderEvery(t, eng, epochs)
+
+			cfgJSON, m := st.Recovered()
+			if err := st.WriteStudy(cfgJSON, edit(m, 1, mutate)); err != nil {
+				t.Fatal(err)
+			}
+			reopened := openTestStore(t, fsys)
+			if _, got := reopened.Recovered(); got == nil {
+				t.Fatalf("damaged material did not decode: %s", reopened.Note())
+			}
+			before := regenerated.Value()
+			eng2, err := Open(cfg, reopened)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng2.Recovered() {
+				t.Fatal("damaged material was restored")
+			}
+			if got := regenerated.Value() - before; got != 1 {
+				t.Errorf("store_recovery_total{outcome=\"regenerated\"} moved by %d, want 1", got)
+			}
+			if renderEvery(t, eng2, epochs) != want {
+				t.Error("regenerated engine renders differently")
+			}
+			eng3, err := Open(cfg, openTestStore(t, fsys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eng3.Recovered() {
+				t.Fatal("rewritten store did not recover")
+			}
+		})
 	}
 }
 

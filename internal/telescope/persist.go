@@ -2,6 +2,7 @@ package telescope
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudwatch/internal/stats"
 	"cloudwatch/internal/wire"
@@ -14,9 +15,32 @@ import (
 // reconstructs. Deferred AS counts are flushed before encoding so the
 // tables are complete.
 
+// BinarySize returns the exact number of bytes AppendBinary writes.
+// Like AppendBinary, it flushes deferred AS counts first.
+func (c *Collector) BinarySize() int {
+	c.flushAS()
+	size := 8 + 4 + 2*len(c.watch)
+	size += 4
+	for _, srcs := range c.srcsByPort {
+		size += 2 + 4 + 4*len(srcs)
+	}
+	size += 4
+	for _, freq := range c.asByPort {
+		size += 2 + 4
+		for k := range freq {
+			size += 4 + len(k) + 8
+		}
+	}
+	size += 4
+	for _, log := range c.perAddr {
+		size += 2 + 4 + 4*len(log.dst) + 4 + 4*len(log.src) + 1 + 4 + 4
+	}
+	return size
+}
+
 // AppendBinary serializes the collector's aggregated state onto dst.
 func (c *Collector) AppendBinary(dst []byte) []byte {
-	c.flushAS()
+	dst = slices.Grow(dst, c.BinarySize())
 	dst = wire.AppendU64(dst, uint64(c.packets))
 
 	dst = wire.AppendU32(dst, uint32(len(c.watch)))
@@ -27,10 +51,7 @@ func (c *Collector) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendU32(dst, uint32(len(c.srcsByPort)))
 	for port, srcs := range c.srcsByPort {
 		dst = wire.AppendU16(dst, port)
-		dst = wire.AppendU32(dst, uint32(len(srcs)))
-		for s := range srcs {
-			dst = wire.AppendU32(dst, uint32(s))
-		}
+		dst = wire.AppendAddrSet(dst, srcs)
 	}
 
 	dst = wire.AppendU32(dst, uint32(len(c.asByPort)))
@@ -75,19 +96,18 @@ func DecodeCollector(r *wire.BinReader) (*Collector, error) {
 		c.watch[r.U16()] = true
 	}
 
-	for i, n := 0, r.Count(3); i < n; i++ {
+	// Each Count passes the smallest encoding of one entry: a port plus
+	// a count (6 bytes), or for a watch log a port, two column counts,
+	// the last-pair flag and both last addresses (19 bytes).
+	for i, n := 0, r.Count(6); i < n; i++ {
 		port := r.U16()
-		m := r.Count(4)
-		srcs := make(map[wire.Addr]struct{}, m)
-		for j := 0; j < m; j++ {
-			srcs[wire.Addr(r.U32())] = struct{}{}
-		}
+		srcs := wire.ReadAddrSet(r)
 		if r.Err() == nil {
 			c.srcsByPort[port] = srcs
 		}
 	}
 
-	for i, n := 0, r.Count(3); i < n; i++ {
+	for i, n := 0, r.Count(6); i < n; i++ {
 		port := r.U16()
 		m := r.Count(12)
 		freq := make(stats.Freq, m)
@@ -103,7 +123,7 @@ func DecodeCollector(r *wire.BinReader) (*Collector, error) {
 		}
 	}
 
-	for i, n := 0, r.Count(3); i < n; i++ {
+	for i, n := 0, r.Count(19); i < n; i++ {
 		port := r.U16()
 		log := &watchLog{
 			dst: r.Addrs(),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary append/read helpers shared by the durable-store codecs
@@ -43,20 +44,66 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// AppendI32s appends a u32 count followed by the raw int32 values.
-func AppendI32s(dst []byte, vs []int32) []byte {
-	dst = AppendU32(dst, uint32(len(vs)))
-	for _, v := range vs {
-		dst = AppendI32(dst, v)
+// grow extends dst by n bytes, growing its backing array at most once,
+// and returns the extended buffer plus the n-byte window to fill in
+// place: the slice encoders reserve their exact size up front and
+// write fixed-width values by index instead of appending per element.
+func grow(dst []byte, n int) (ext, window []byte) {
+	ext = slices.Grow(dst, n)[:len(dst)+n]
+	return ext, ext[len(dst):]
+}
+
+// AppendU32s appends a u32 count followed by the values as
+// little-endian 32-bit words.
+func AppendU32s[T ~int32 | ~uint32](dst []byte, vs []T) []byte {
+	dst, w := grow(dst, 4+4*len(vs))
+	binary.LittleEndian.PutUint32(w, uint32(len(vs)))
+	w = w[4:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(w[4*i:], uint32(v))
 	}
 	return dst
 }
 
+// AppendU16s appends a u32 count followed by the values as
+// little-endian 16-bit words.
+func AppendU16s[T ~uint16](dst []byte, vs []T) []byte {
+	dst, w := grow(dst, 4+2*len(vs))
+	binary.LittleEndian.PutUint32(w, uint32(len(vs)))
+	w = w[4:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint16(w[2*i:], uint16(v))
+	}
+	return dst
+}
+
+// AppendU8s appends a u32 count followed by the values, one byte each.
+func AppendU8s[T ~uint8](dst []byte, vs []T) []byte {
+	dst, w := grow(dst, 4+len(vs))
+	binary.LittleEndian.PutUint32(w, uint32(len(vs)))
+	w = w[4:]
+	for i, v := range vs {
+		w[i] = uint8(v)
+	}
+	return dst
+}
+
+// AppendI32s appends a u32 count followed by the raw int32 values.
+func AppendI32s(dst []byte, vs []int32) []byte { return AppendU32s(dst, vs) }
+
 // AppendAddrs appends a u32 count followed by the addresses as u32s.
-func AppendAddrs(dst []byte, vs []Addr) []byte {
-	dst = AppendU32(dst, uint32(len(vs)))
-	for _, v := range vs {
-		dst = AppendU32(dst, uint32(v))
+func AppendAddrs(dst []byte, vs []Addr) []byte { return AppendU32s(dst, vs) }
+
+// AppendAddrSet appends a u32 count followed by the set's addresses
+// as u32s, in map iteration order (the AppendAddrs layout; readers
+// treat the order as meaningless).
+func AppendAddrSet(dst []byte, set map[Addr]struct{}) []byte {
+	dst, w := grow(dst, 4+4*len(set))
+	binary.LittleEndian.PutUint32(w, uint32(len(set)))
+	i := 4
+	for a := range set {
+		binary.LittleEndian.PutUint32(w[i:], uint32(a))
+		i += 4
 	}
 	return dst
 }
@@ -163,8 +210,7 @@ func (r *BinReader) Count(elemSize int) int {
 
 // Bytes reads a u32 length prefix and returns a copy of the bytes.
 func (r *BinReader) Bytes() []byte {
-	n := r.Count(1)
-	b := r.take(n, "bytes")
+	b := r.View()
 	if b == nil {
 		return nil
 	}
@@ -172,34 +218,99 @@ func (r *BinReader) Bytes() []byte {
 }
 
 // String reads a u32 length prefix and the string bytes.
-func (r *BinReader) String() string {
-	n := r.Count(1)
-	b := r.take(n, "string")
-	return string(b)
+func (r *BinReader) String() string { return string(r.View()) }
+
+// View reads a u32 length prefix and returns the bytes in place: the
+// result aliases the decoded buffer, so callers copy (or intern) what
+// they keep.
+func (r *BinReader) View() []byte {
+	if r.err != nil {
+		return nil
+	}
+	rest := r.buf[r.off:]
+	if len(rest) < 4 {
+		r.fail("length")
+		return nil
+	}
+	n := binary.LittleEndian.Uint32(rest)
+	if uint64(n) > uint64(len(rest)-4) {
+		r.fail("bytes")
+		return nil
+	}
+	r.off += 4 + int(n)
+	return rest[4 : 4+n]
+}
+
+// Column reads a u32 element count, validates it against the remaining
+// bytes, and takes all n*size bytes of the elements in one step. It
+// returns the count and the raw element bytes (aliasing the buffer),
+// or 0 and nil on error.
+func (r *BinReader) Column(size int) (n int, raw []byte) {
+	n = r.Count(size)
+	raw = r.take(n*size, "column")
+	if raw == nil {
+		return 0, nil
+	}
+	return n, raw
+}
+
+// ReadU32s reads a u32 count followed by that many little-endian
+// 32-bit words (the AppendU32s layout). An empty column reads as nil.
+func ReadU32s[T ~int32 | ~uint32](r *BinReader) []T {
+	n, raw := r.Column(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(binary.LittleEndian.Uint32(raw))
+		raw = raw[4:]
+	}
+	return out
+}
+
+// ReadU16s reads a u32 count followed by that many little-endian
+// 16-bit words (the AppendU16s layout). An empty column reads as nil.
+func ReadU16s[T ~uint16](r *BinReader) []T {
+	n, raw := r.Column(2)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(binary.LittleEndian.Uint16(raw))
+		raw = raw[2:]
+	}
+	return out
+}
+
+// ReadU8s reads a u32 count followed by that many bytes (the AppendU8s
+// layout). An empty column reads as nil.
+func ReadU8s[T ~uint8](r *BinReader) []T {
+	n, raw := r.Column(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i, v := range raw {
+		out[i] = T(v)
+	}
+	return out
 }
 
 // I32s reads a u32 count followed by that many int32 values.
-func (r *BinReader) I32s() []int32 {
-	n := r.Count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.I32()
-	}
-	return out
-}
+func (r *BinReader) I32s() []int32 { return ReadU32s[int32](r) }
 
 // Addrs reads a u32 count followed by that many addresses.
-func (r *BinReader) Addrs() []Addr {
-	n := r.Count(4)
-	if r.err != nil || n == 0 {
-		return nil
+func (r *BinReader) Addrs() []Addr { return ReadU32s[Addr](r) }
+
+// ReadAddrSet reads an AppendAddrSet column into a set presized to
+// its count.
+func ReadAddrSet(r *BinReader) map[Addr]struct{} {
+	n, raw := r.Column(4)
+	set := make(map[Addr]struct{}, n)
+	for ; len(raw) >= 4; raw = raw[4:] {
+		set[Addr(binary.LittleEndian.Uint32(raw))] = struct{}{}
 	}
-	out := make([]Addr, n)
-	for i := range out {
-		out[i] = Addr(r.U32())
-	}
-	return out
+	return set
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,42 @@ func TestBinReaderHostileCount(t *testing.T) {
 	r := NewBinReader(b)
 	if got := r.I32s(); got != nil || r.Err() == nil {
 		t.Fatalf("hostile count: got %d elems, err %v", len(got), r.Err())
+	}
+}
+
+// TestBinSliceGoldenLayout pins the on-disk layout of the slice codecs
+// to exact bytes: a u32 little-endian count, then each value as four
+// little-endian bytes. The durable store's segment format depends on
+// this layout, so any codec rewrite must reproduce it byte for byte.
+func TestBinSliceGoldenLayout(t *testing.T) {
+	var b []byte
+	b = AppendI32s(b, []int32{1, -2, 0x01020304})
+	b = AppendAddrs(b, []Addr{0x01020304, 0xFFFFFFFE})
+	b = AppendI32s(b, nil)
+	b = AppendAddrs(b, nil)
+	want := []byte{
+		0x03, 0x00, 0x00, 0x00, // I32s count
+		0x01, 0x00, 0x00, 0x00,
+		0xfe, 0xff, 0xff, 0xff,
+		0x04, 0x03, 0x02, 0x01,
+		0x02, 0x00, 0x00, 0x00, // Addrs count
+		0x04, 0x03, 0x02, 0x01,
+		0xfe, 0xff, 0xff, 0xff,
+		0x00, 0x00, 0x00, 0x00, // empty I32s
+		0x00, 0x00, 0x00, 0x00, // empty Addrs
+	}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("slice layout drifted:\n got % x\nwant % x", b, want)
+	}
+	r := NewBinReader(want)
+	is, as := r.I32s(), r.Addrs()
+	if len(is) != 3 || is[0] != 1 || is[1] != -2 || is[2] != 0x01020304 {
+		t.Fatalf("I32s = %v", is)
+	}
+	if len(as) != 2 || as[0] != 0x01020304 || as[1] != 0xFFFFFFFE {
+		t.Fatalf("Addrs = %v", as)
+	}
+	if r.I32s() != nil || r.Addrs() != nil || r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("empty slices: err=%v rest=%d", r.Err(), r.Len())
 	}
 }
