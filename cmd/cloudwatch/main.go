@@ -188,7 +188,7 @@ func main() {
 		storeDir   = flag.String("store", "", "durable store directory for sweep/serve modes: the generated epoch study is persisted there and recovered on restart, skipping regeneration")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile covering generation, ingest, and rendering to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC live retention, taken as the run finishes) to this file")
-		trace      = flag.Bool("trace", false, "print a per-stage timing breakdown (generation, assembly, repair, persist, render) to stderr after batch and sweep runs")
+		trace      = flag.Bool("trace", false, "print a per-stage timing breakdown (generation, assembly, persist, render) to stderr after batch and sweep runs")
 		pprofOn    = flag.Bool("pprof", false, "serve mode: expose net/http/pprof under /debug/pprof/ on the serving mux")
 		version    = flag.Bool("version", false, "print the build version and exit")
 		sf         sweepFlags

@@ -14,6 +14,7 @@ import (
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/searchengine"
+	"cloudwatch/internal/wire"
 )
 
 // refRecord is one record produced by the reference pipeline: the
@@ -26,10 +27,9 @@ type refRecord struct {
 // refGenerate reproduces the pre-columnar serial pipeline
 // independently of the production code: actors run one after another,
 // each probe goes through the collector decision table reimplemented
-// inline (no interner, fresh buffers), and the §3.2 verdict memo is
-// payload-keyed with first-occurrence-wins semantics — exactly what
-// the historical serial shard computed. The columnar pipeline at any
-// worker count must deep-equal this.
+// inline (no interner, fresh buffers), and the §3.2 verdict judges
+// each record on its own payload, transport, and port. The columnar
+// pipeline at any worker count must deep-equal this.
 func refGenerate(t *testing.T, cfg Config) []refRecord {
 	t.Helper()
 	if cfg.Year == 0 {
@@ -50,7 +50,12 @@ func refGenerate(t *testing.T, cfg Config) []refRecord {
 	shodan.Crawl(u, crawlTime)
 
 	engine := ids.DefaultEngine()
-	memo := map[string]bool{}
+	type verdictKey struct {
+		payload string
+		tr      wire.Transport
+		port    uint16
+	}
+	memo := map[verdictKey]bool{}
 	var out []refRecord
 
 	dispatch := func(p *netsim.Probe) {
@@ -102,10 +107,11 @@ func refGenerate(t *testing.T, cfg Config) []refRecord {
 		case len(rec.Payload) == 0:
 			mal = false
 		default:
-			v, ok := memo[string(rec.Payload)]
+			k := verdictKey{string(rec.Payload), rec.Transport, rec.Port}
+			v, ok := memo[k]
 			if !ok {
 				v = engine.Malicious(rec.Transport.String(), rec.Port, rec.Payload)
-				memo[string(rec.Payload)] = v
+				memo[k] = v
 			}
 			mal = v
 		}

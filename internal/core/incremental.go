@@ -2,28 +2,26 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/ids"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/obs"
 	"cloudwatch/internal/telescope"
-	"cloudwatch/internal/wire"
 )
 
 // This file is the incremental side of snapshot assembly. The
 // from-scratch assembler (EpochSet.Snapshot) re-merges every ingested
-// epoch — a k-way re-merge of every actor's runs plus a full verdict
-// and derived-column rebuild — so materializing every prefix of an
-// n-epoch stream costs O(n²) record traffic. Incremental assembly
-// *adopts* the previous prefix's snapshot instead: ingesting epoch p+1
-// appends the new epoch's per-actor column segments actor-major onto
-// the prefix-p RecordBlock, union-merges only the new epoch's
-// telescope and GreyNoise shards onto clones of the previous
-// collectors, extends the §3.2 verdict anchor scan only over the new
-// epoch's records, and scatters only the new records into the derived
-// per-vantage lists — O(epoch) per ingest, flat in the prefix length.
+// epoch — every actor's runs plus a full verdict and derived-column
+// rebuild — so materializing every prefix of an n-epoch stream costs
+// O(n²) record traffic. Incremental assembly *adopts* the previous
+// prefix's snapshot instead: ingesting epoch p+1 appends the new
+// epoch's per-actor column segments actor-major onto the prefix-p
+// RecordBlock, union-merges only the new epoch's telescope and
+// GreyNoise shards onto clones of the previous collectors, judges only
+// the new epoch's records, and scatters only the new records into the
+// derived per-vantage lists — O(epoch) per ingest, flat in the prefix
+// length.
 //
 // Sharing contract: consecutive snapshots in the chain share column
 // backing arrays (the new snapshot's columns are appends onto the
@@ -34,22 +32,14 @@ import (
 // their own lengths. Published snapshots are never mutated.
 //
 // Correctness: a snapshot's rendered analyses must stay byte-identical
-// to a batch Run truncated at the prefix bound. Record order only
-// reaches rendered output through the §3.2 verdict anchor — every
-// other consumer (views, sets, counters, sorted series) is
-// order-independent — so the assembler maintains the *canonical*
-// anchor per payload: the minimal (actor, emission-seq) credential-
-// free occurrence across the assembled epochs, exactly the first
-// occurrence a batch run's actor-major record order produces. A new
-// epoch can move an anchor backward (an earlier actor first emits the
-// payload only in a later epoch); if the moved anchor changes the
-// payload's (transport, port) the verdict is re-judged, and in the
-// rare case the verdict actually flips the assembler repairs exactly
-// the invalidated state: the flipped payloads' entries in a private
-// copy of the mal column, and the sources whose exploited status the
-// flips granted or withdrew (repairFlips). The previous snapshot is
-// untouched either way — its window's canonical anchors are the
-// pre-move ones, so its published verdicts stay correct.
+// to a batch Run truncated at the prefix bound. The chain holds the
+// same records in (epoch, actor) order rather than the batch's
+// (actor, emission) order, and nothing rendered depends on record
+// order: every §3.2 verdict is a function of its own record
+// (fillVerdicts), and every other consumer (views, sets, counters,
+// sorted series) is order-independent. A new epoch therefore never
+// changes the verdict of an already-assembled record, and the exploit
+// set only grows.
 
 // Incremental assembles the chain of prefix snapshots of one EpochSet
 // in O(new epoch) per step. Not safe for concurrent use; the streaming
@@ -67,17 +57,9 @@ type Incremental struct {
 	credTotal int     // credential lists across all epochs
 	vantCount []int32 // per-vantage record counts across all epochs
 
-	// Canonical §3.2 anchor state, indexed by netsim.PayloadID: the
-	// minimal (actor, seq) credential-free occurrence over the
-	// assembled epochs and the (transport, port) its verdict was judged
-	// at. anchorActor < 0 means the payload has no anchor yet.
-	anchorActor []int32
-	anchorSeq   []int32
-	anchorTr    []wire.Transport
-	anchorPort  []uint16
-
-	payCount int
-	repairs  int
+	// memo holds every (payload, transport, port) verdict judged so
+	// far, so each key is judged once per chain.
+	memo map[verdictKey]bool
 }
 
 // Incremental returns an assembler that materializes this epoch set's
@@ -87,8 +69,8 @@ type Incremental struct {
 func (es *EpochSet) Incremental() *Incremental {
 	inc := &Incremental{
 		es:        es,
-		payCount:  netsim.PayloadCount(),
 		vantCount: make([]int32, len(es.u.Targets())),
+		memo:      map[verdictKey]bool{},
 	}
 	for _, sinks := range es.sinks {
 		for _, sink := range sinks {
@@ -99,13 +81,6 @@ func (es *EpochSet) Incremental() *Incremental {
 			}
 		}
 	}
-	inc.anchorActor = make([]int32, inc.payCount)
-	for i := range inc.anchorActor {
-		inc.anchorActor[i] = -1
-	}
-	inc.anchorSeq = make([]int32, inc.payCount)
-	inc.anchorTr = make([]wire.Transport, inc.payCount)
-	inc.anchorPort = make([]uint16, inc.payCount)
 	return inc
 }
 
@@ -115,10 +90,11 @@ func (inc *Incremental) Prefix() int { return inc.prefix }
 // Tip returns the latest snapshot (nil before the first Advance).
 func (inc *Incremental) Tip() *Study { return inc.tip }
 
-// Repairs returns how many Advance calls had to repair
-// already-assembled verdict state because a moved anchor flipped a
-// payload's verdict.
-func (inc *Incremental) Repairs() int { return inc.repairs }
+// Repairs returns how many Advance calls had to rewrite
+// already-assembled verdict state. It is always 0: a verdict depends
+// on its own record alone, so a new epoch never changes one. The
+// method stays for callers that report it.
+func (inc *Incremental) Repairs() int { return 0 }
 
 // Advance ingests the next epoch and returns its prefix snapshot,
 // byte-identical in every rendered analysis to a batch Run truncated
@@ -165,16 +141,13 @@ func (inc *Incremental) Advance() (*Study, error) {
 				s.byVantage[vi] = make([]int32, 0, n)
 			}
 		}
-		s.malByPay = make([]int8, inc.payCount)
-		for i := range s.malByPay {
-			s.malByPay[i] = -1
-		}
 	} else {
 		// Adopt the previous snapshot: collector clones take only the
 		// new epoch's merges; column headers are copied and appended
 		// past the previous lengths (in place — the backing arrays were
-		// preallocated at chain start, and the re-grow guards below are
-		// defensive for adopted columns that arrived exactly sized).
+		// preallocated at chain start; the re-grow guard below and
+		// fillVerdicts' grow are defensive for adopted columns that
+		// arrived exactly sized).
 		s.Tel = prev.Tel.Clone()
 		s.GN = prev.GN.Clone()
 		s.blk = prev.blk
@@ -182,11 +155,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 			s.blk.Grow(remaining)
 		}
 		s.mal = prev.mal
-		if cap(s.mal) < inc.total {
-			s.mal = append(make([]bool, 0, inc.total), s.mal...)
-		}
 		s.byVantage = append([][]int32(nil), prev.byVantage...)
-		s.malByPay = append([]int8(nil), prev.malByPay...)
 	}
 
 	// Union-merge only the new epoch's collector shards and lay its
@@ -201,11 +170,9 @@ func (inc *Incremental) Advance() (*Study, error) {
 		s.blk.CredLists = append(s.blk.CredLists, sink.blk.CredLists...)
 	}
 
-	// Append the new epoch's per-actor column segments actor-major. An
-	// actor has exactly one run inside one epoch (its records landed in
-	// its worker's epoch sink in emission order), so no k-way merge is
-	// needed — the seq merge of the from-scratch path degenerates to a
-	// single range append per actor.
+	// Append the new epoch's per-actor column segments actor-major: an
+	// actor has exactly one run inside one epoch, so each is a single
+	// range append.
 	base := s.blk.Len()
 	for i := range es.runs {
 		run := &es.runs[i]
@@ -215,110 +182,9 @@ func (inc *Incremental) Advance() (*Study, error) {
 	}
 	n := s.blk.Len()
 
-	// Extend the §3.2 anchor scan over the new epoch only. The scan
-	// visits records in ascending (actor, seq) order, so a payload's
-	// first credential-free occurrence this epoch is the minimal one;
-	// comparing it against the carried anchor keeps the canonical
-	// (batch actor-major) anchor exact across epochs.
-	var newPays []netsim.PayloadID // first anchored this epoch
-	var moved []netsim.PayloadID   // anchor moved to a different (transport, port)
-	for i := range es.runs {
-		run := &es.runs[i]
-		sink := run.sinks[e]
-		for r := run.lo[e]; r < run.hi[e]; r++ {
-			if sink.blk.Cred[r] >= 0 {
-				continue
-			}
-			pay := sink.blk.Pay[r]
-			if pay == 0 {
-				continue
-			}
-			if inc.anchorActor[pay] < 0 {
-				inc.anchorActor[pay] = int32(i)
-				inc.anchorSeq[pay] = sink.seq[r]
-				inc.anchorTr[pay] = sink.blk.Transport[r]
-				inc.anchorPort[pay] = sink.blk.Port[r]
-				newPays = append(newPays, pay)
-				continue
-			}
-			seq := sink.seq[r]
-			if int32(i) < inc.anchorActor[pay] ||
-				(int32(i) == inc.anchorActor[pay] && seq < inc.anchorSeq[pay]) {
-				inc.anchorActor[pay] = int32(i)
-				inc.anchorSeq[pay] = seq
-				if tr, port := sink.blk.Transport[r], sink.blk.Port[r]; tr != inc.anchorTr[pay] || port != inc.anchorPort[pay] {
-					inc.anchorTr[pay] = tr
-					inc.anchorPort[pay] = port
-					moved = append(moved, pay)
-				}
-			}
-		}
-	}
-
-	// Judge payloads first seen this epoch, in parallel (the verdict is
-	// a pure function of payload bytes and anchor transport/port).
-	ParallelEach(len(newPays), func(k int) {
-		pay := newPays[k]
-		v := int8(0)
-		if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
-			v = 1
-		}
-		s.malByPay[pay] = v
-	})
-
-	// Re-judge payloads whose canonical anchor moved onto a different
-	// (transport, port). A flipped verdict invalidates the flipped
-	// payloads' entries in the already-assembled mal column and the
-	// exploited status their sources gained or lost — repair exactly
-	// that state instead of re-assembling the prefix.
-	var flipped []netsim.PayloadID
-	for _, pay := range moved {
-		v := int8(0)
-		if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
-			v = 1
-		}
-		if v != s.malByPay[pay] {
-			s.malByPay[pay] = v
-			flipped = append(flipped, pay)
-		}
-	}
-	if len(flipped) > 0 {
-		inc.repairs++
-		mVerdictRepairs.Inc()
-		rsp := obs.StartStage(obs.StageVerdictRepair)
-		inc.repairFlips(s, flipped, base)
-		rsp.End()
-	}
-
-	// Fill the verdict column and exploit set for the appended records,
-	// in parallel chunks with per-chunk GreyNoise deltas (exactly
-	// buildVerdicts' fill, restricted to the new epoch).
-	s.mal = append(s.mal, make([]bool, n-base)...)
-	added := n - base
-	chunks := (added + verdictChunk - 1) / verdictChunk
-	var gnMu sync.Mutex
-	ParallelEach(chunks, func(c int) {
-		lo, hi := base+c*verdictChunk, base+(c+1)*verdictChunk
-		if hi > n {
-			hi = n
-		}
-		d := greynoise.NewDelta()
-		for i := lo; i < hi; i++ {
-			m := s.blk.Cred[i] >= 0
-			if !m {
-				if pay := s.blk.Pay[i]; pay != 0 {
-					m = s.malByPay[pay] == 1
-				}
-			}
-			if m {
-				s.mal[i] = true
-				d.ObserveExploit(s.blk.Src[i])
-			}
-		}
-		gnMu.Lock()
-		s.GN.MergeDelta(d)
-		gnMu.Unlock()
-	})
+	// Judge and fill only the appended records; the chain's memo
+	// carries every key judged in earlier epochs.
+	s.fillVerdicts(base, inc.memo)
 
 	// Derived columns: scatter only the new records into the
 	// per-vantage lists and refresh the per-payload fact snapshot.
@@ -326,63 +192,8 @@ func (inc *Incremental) Advance() (*Study, error) {
 		vi := s.blk.Vantage[ri]
 		s.byVantage[vi] = append(s.byVantage[vi], int32(ri))
 	}
-	s.payKey, s.payProto = payFactsSnapshot(inc.payCount)
+	s.payKey, s.payProto = payFactsSnapshot(netsim.PayloadCount())
 
 	inc.tip, inc.prefix = s, newPrefix
 	return s, nil
-}
-
-// repairFlips rewrites the already-assembled verdict state of the
-// payloads whose verdict flipped, over records [0, base) — the new
-// epoch's records are filled after the repair with the updated
-// malByPay, so they never need it. Generation marks every record's
-// source seen, which makes the exploit set exactly {src of malicious
-// records}: a source whose record turned malicious is observed
-// exploiting, and a source that lost its last malicious record loses
-// exploited status (a record of the new epoch can hand it straight
-// back through the fill).
-func (inc *Incremental) repairFlips(s *Study, flipped []netsim.PayloadID, base int) {
-	// The shared mal prefix stays correct for the published previous
-	// snapshot, so the repair works on a private full-capacity copy —
-	// later chain appends extend the copy in place.
-	s.mal = append(make([]bool, 0, inc.total), s.mal...)
-
-	// Dense payload-indexed lookup: the repair scan tests every
-	// credential-free record of the prefix, so a map probe per record
-	// would dominate the repair.
-	isFlipped := make([]bool, inc.payCount)
-	for _, pay := range flipped {
-		isFlipped[pay] = true
-	}
-	lost := map[wire.Addr]bool{}
-	for i := 0; i < base; i++ {
-		if s.blk.Cred[i] >= 0 {
-			continue
-		}
-		pay := s.blk.Pay[i]
-		if pay == 0 || !isFlipped[pay] {
-			continue
-		}
-		if m := s.malByPay[pay] == 1; m != s.mal[i] {
-			s.mal[i] = m
-			if m {
-				s.GN.ObserveExploit(s.blk.Src[i])
-			} else {
-				lost[s.blk.Src[i]] = true
-			}
-		}
-	}
-	// A source that lost a malicious record keeps its exploited status
-	// if any other already-assembled malicious record names it.
-	if len(lost) == 0 {
-		return
-	}
-	for i := 0; i < base && len(lost) > 0; i++ {
-		if s.mal[i] && lost[s.blk.Src[i]] {
-			delete(lost, s.blk.Src[i])
-		}
-	}
-	for src := range lost {
-		s.GN.RemoveExploit(src)
-	}
 }

@@ -3,15 +3,11 @@ package core
 import "cloudwatch/internal/obs"
 
 // Package-level observability handles, resolved once. Counting happens
-// at run/epoch granularity — one atomic add per generator pass or
-// repair, never per record — so the generation hot path pays nothing.
+// at run granularity — one atomic add per generator pass, never per
+// record — so the generation hot path pays nothing.
 var (
 	// mRecordsGenerated counts honeypot records produced by every
 	// generator pass of this process (batch Run and GenerateEpochs).
 	mRecordsGenerated = obs.Default().Counter("core_records_generated_total",
 		"Honeypot records produced by generation (batch and epoch-partitioned).")
-	// mVerdictRepairs counts Advance calls that had to repair
-	// already-assembled verdict state (repairFlips invocations).
-	mVerdictRepairs = obs.Default().Counter("core_verdict_repairs_total",
-		"Incremental-assembly verdict repairs (anchor moves that flipped a §3.2 verdict).")
 )

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -69,7 +71,50 @@ func assertStudiesIdentical(t *testing.T, want, got *Study, label string) {
 			}
 		}
 	}
+	assertCollectorsIdentical(t, want, got, label)
+}
 
+// assertStudiesEquivalent compares two studies up to record order:
+// per vantage, the same multiset of (record, verdict) pairs, plus
+// identical telescope/GreyNoise counters. Epoch snapshots hold the
+// records of the batch study in another order, so they are compared
+// with it this way; batch studies compare exactly
+// (assertStudiesIdentical).
+func assertStudiesEquivalent(t *testing.T, want, got *Study, label string) {
+	t.Helper()
+	if want.NumRecords() != got.NumRecords() {
+		t.Fatalf("%s: record counts differ: %d vs %d", label, want.NumRecords(), got.NumRecords())
+	}
+	for vi, tgt := range want.U.Targets() {
+		w, g := vantageMultiset(want, vi), vantageMultiset(got, vi)
+		if len(w) != len(g) {
+			t.Fatalf("%s: vantage %s holds %d records, want %d", label, tgt.ID, len(g), len(w))
+		}
+		for j := range w {
+			if w[j] != g[j] {
+				t.Fatalf("%s: vantage %s record multisets differ:\n  want %s\n  got  %s", label, tgt.ID, w[j], g[j])
+			}
+		}
+	}
+	assertCollectorsIdentical(t, want, got, label)
+}
+
+// vantageMultiset renders vantage vi's (record, verdict) pairs as
+// sorted strings, so equal multisets compare equal element-wise.
+func vantageMultiset(s *Study, vi int) []string {
+	idxs := s.byVantage[vi]
+	out := make([]string, len(idxs))
+	for j, ri := range idxs {
+		out[j] = fmt.Sprintf("%+v mal=%v", s.RecordAt(int(ri)), s.mal[ri])
+	}
+	sort.Strings(out)
+	return out
+}
+
+// assertCollectorsIdentical compares the telescope and GreyNoise
+// counters the analyses read.
+func assertCollectorsIdentical(t *testing.T, want, got *Study, label string) {
+	t.Helper()
 	if want.Tel.Packets() != got.Tel.Packets() {
 		t.Errorf("%s: telescope packets = %d, want %d", label, got.Tel.Packets(), want.Tel.Packets())
 	}

@@ -17,19 +17,17 @@ import (
 // actor population — is deterministic from the Config alone and cheap
 // next to generation, so it is rebuilt rather than stored; only the
 // probe material the actors emitted (record columns, collector state,
-// emission sequences, per-actor run bounds) crosses the disk boundary.
+// per-actor run bounds) crosses the disk boundary.
 // internal/store frames StudyMaterial into its checksummed segment
 // file.
 
 // SinkMaterial is the sealed material of one (worker, epoch) sink: the
-// record columns, per-record emission sequences, and the epoch's
-// telescope and GreyNoise aggregation for probes that worker routed
-// into that epoch.
+// record columns and the epoch's telescope and GreyNoise aggregation
+// for probes that worker routed into that epoch.
 type SinkMaterial struct {
 	Tel *telescope.Collector
 	GN  *greynoise.Delta
 	Blk *netsim.RecordBlock
-	Seq []int32
 }
 
 // EpochMaterial is the sealed material of one epoch across all
@@ -94,7 +92,7 @@ func (es *EpochSet) Material() *StudyMaterial {
 		em.Sinks = make([]SinkMaterial, len(es.sinks))
 		for w, sinks := range es.sinks {
 			sink := sinks[e]
-			em.Sinks[w] = SinkMaterial{Tel: sink.tel, GN: sink.gn, Blk: &sink.blk, Seq: sink.seq}
+			em.Sinks[w] = SinkMaterial{Tel: sink.tel, GN: sink.gn, Blk: &sink.blk}
 		}
 		em.Lo = make([]int32, len(es.runs))
 		em.Hi = make([]int32, len(es.runs))
@@ -112,10 +110,10 @@ func (es *EpochSet) Material() *StudyMaterial {
 // generated material is installed without running a single actor, and
 // the result serves snapshots byte-identical to the set the material
 // was exported from. The material is validated structurally (shape,
-// range bounds, column agreement) and by value domain (vantage ids,
-// payload ids, credential indices, each actor's emission sequence) so
-// a corrupted or mismatched store fails here instead of panicking,
-// hanging, or producing a silently wrong study.
+// run bounds that tile every sink, column agreement) and by value
+// domain (vantage ids, payload ids, credential indices) so a corrupted
+// or mismatched store fails here instead of panicking or producing a
+// silently wrong study.
 func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 	if want, got := scanners.CanonicalScenario(cfg.Actors.Scenario), scanners.CanonicalScenario(m.Scenario); want != got {
 		return nil, fmt.Errorf("core: material was generated under scenario %q, study is configured for %q", got, want)
@@ -151,18 +149,23 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			if sm.Tel == nil || sm.GN == nil || sm.Blk == nil {
 				return nil, fmt.Errorf("core: epoch %d worker %d sink is incomplete", e, w)
 			}
-			if len(sm.Seq) != sm.Blk.Len() {
-				return nil, fmt.Errorf("core: epoch %d worker %d has %d seqs for %d records", e, w, len(sm.Seq), sm.Blk.Len())
-			}
 			if err := validateBlock(sm.Blk, len(es.u.Targets()), netsim.PayloadCount()); err != nil {
 				return nil, fmt.Errorf("core: epoch %d worker %d: %w", e, w, err)
 			}
-			es.sinks[w][e] = &epochSink{tel: sm.Tel, gn: sm.GN, blk: *sm.Blk, seq: sm.Seq}
+			es.sinks[w][e] = &epochSink{tel: sm.Tel, gn: sm.GN, blk: *sm.Blk}
 		}
 	}
 
+	// Generation tiles every (worker, epoch) sink exactly: a worker's
+	// actors run in population order, each appending one contiguous run
+	// per epoch. Runs that overlap would duplicate records and gaps would
+	// orphan them, so each run must start where the worker's previous
+	// run in that epoch ended, and the last must end at the sink's end.
 	es.runs = make([]actorRuns, len(es.actors))
-	var seen []uint64 // per-actor seq bitmap, reused across actors
+	next := make([][]int32, m.Workers) // per worker, per epoch: end of the last run
+	for w := range next {
+		next[w] = make([]int32, nEpochs)
+	}
 	for i := range es.actors {
 		w := m.ActorWorker[i]
 		if w < 0 || int(w) >= m.Workers {
@@ -174,13 +177,23 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			if lo < 0 || hi < lo || int(hi) > run.sinks[e].blk.Len() {
 				return nil, fmt.Errorf("core: actor %d epoch %d run [%d, %d) outside sink of %d records", i, e, lo, hi, run.sinks[e].blk.Len())
 			}
+			switch end := next[w][e]; {
+			case lo < end:
+				return nil, fmt.Errorf("core: actor %d epoch %d run [%d, %d) overlaps worker %d's previous run ending at %d", i, e, lo, hi, w, end)
+			case lo > end:
+				return nil, fmt.Errorf("core: actor %d epoch %d run [%d, %d) leaves a gap after worker %d's previous run ending at %d", i, e, lo, hi, w, end)
+			}
+			next[w][e] = hi
 			run.lo[e], run.hi[e] = lo, hi
 		}
-		var err error
-		if seen, err = validateSeqs(&run, seen); err != nil {
-			return nil, fmt.Errorf("core: actor %d: %w", i, err)
-		}
 		es.runs[i] = run
+	}
+	for w := range next {
+		for e, end := range next[w] {
+			if n := es.sinks[w][e].blk.Len(); int(end) != n {
+				return nil, fmt.Errorf("core: epoch %d worker %d runs cover [0, %d) of %d records", e, w, end, n)
+			}
+		}
 	}
 	return es, nil
 }
@@ -213,38 +226,4 @@ func validateBlock(b *netsim.RecordBlock, targets, payloads int) error {
 		}
 	}
 	return nil
-}
-
-// validateSeqs checks one actor's emission sequence: strictly
-// increasing within each epoch run, and across all runs a permutation
-// of 0..n-1 for the actor's n records. That is exactly what generation
-// produces, and what the snapshot's k-way merge needs to make progress
-// (a repeated seq would stall it). seen is a reusable bitmap; the
-// possibly grown one is returned.
-func validateSeqs(run *actorRuns, seen []uint64) ([]uint64, error) {
-	n := 0
-	for e := range run.lo {
-		n += int(run.hi[e] - run.lo[e])
-	}
-	words := (n + 63) / 64
-	if cap(seen) < words {
-		seen = make([]uint64, words)
-	}
-	seen = seen[:words]
-	clear(seen)
-	for e, sink := range run.sinks {
-		prev := int32(-1)
-		for _, sq := range sink.seq[run.lo[e]:run.hi[e]] {
-			if sq <= prev || int(sq) >= n {
-				return seen, fmt.Errorf("epoch %d emission seq %d out of order or outside [0, %d)", e, sq, n)
-			}
-			word, bit := &seen[uint32(sq)/64], uint64(1)<<(uint32(sq)%64)
-			if *word&bit != 0 {
-				return seen, fmt.Errorf("emission seq %d repeats across epochs", sq)
-			}
-			*word |= bit
-			prev = sq
-		}
-	}
-	return seen, nil
 }

@@ -98,11 +98,6 @@ func TestRestoreEpochSetValidation(t *testing.T) {
 			sinks[0].Tel = nil
 			m.Epochs[1].Sinks = sinks
 		},
-		"seq length skew": func(m *StudyMaterial) {
-			sinks := append([]SinkMaterial(nil), m.Epochs[0].Sinks...)
-			sinks[0].Seq = append(append([]int32(nil), sinks[0].Seq...), 0)
-			m.Epochs[0].Sinks = sinks
-		},
 		"run bounds short": func(m *StudyMaterial) {
 			m.Epochs[0].Lo = m.Epochs[0].Lo[:0]
 		},
@@ -118,6 +113,9 @@ func TestRestoreEpochSetValidation(t *testing.T) {
 		},
 	}
 	for name, mutate := range valueDamage(t, es.Material(), len(es.u.Targets())) {
+		damage[name] = mutate
+	}
+	for name, mutate := range tilingDamage(t, es.Material()) {
 		damage[name] = mutate
 	}
 	for name, mutate := range damage {
@@ -149,13 +147,12 @@ func TestRestoreEpochSetValidation(t *testing.T) {
 // valueDamage returns value-domain mutations of well-shaped material:
 // every column keeps its length, but a value leaves the domain the
 // assembly indexes with. Before restore checked value domains, the
-// vantage mutants panicked in the snapshot's derived index and the
-// seq mutants hung its k-way merge. Each mutation copies what it
-// edits, so the shared columns of the generated set stay intact.
+// vantage mutants panicked in the snapshot's derived index. Each
+// mutation copies what it edits, so the shared columns of the
+// generated set stay intact.
 func valueDamage(t *testing.T, m *StudyMaterial, targets int) map[string]func(*StudyMaterial) {
 	t.Helper()
-	// w0 is a worker with records in epoch 0; actor is one with at
-	// least two records in each of epochs 0 and 1.
+	// w0 is a worker with records in epoch 0.
 	w0 := -1
 	for w, sm := range m.Epochs[0].Sinks {
 		if sm.Blk.Len() > 0 && sm.Blk.CredLists != nil {
@@ -163,15 +160,7 @@ func valueDamage(t *testing.T, m *StudyMaterial, targets int) map[string]func(*S
 			break
 		}
 	}
-	actor := -1
-	for i := range m.ActorWorker {
-		e0, e1 := &m.Epochs[0], &m.Epochs[1]
-		if e0.Hi[i]-e0.Lo[i] >= 2 && e1.Hi[i]-e1.Lo[i] >= 2 {
-			actor = i
-			break
-		}
-	}
-	if w0 < 0 || actor < 0 {
+	if w0 < 0 {
 		t.Fatal("material too small for value-domain mutations")
 	}
 	editBlock := func(m *StudyMaterial, edit func(b *netsim.RecordBlock)) {
@@ -181,20 +170,6 @@ func valueDamage(t *testing.T, m *StudyMaterial, targets int) map[string]func(*S
 		sinks[w0].Blk = &blk
 		m.Epochs[0].Sinks = sinks
 	}
-	// setSeqs overwrites the actor's seqs in epoch e with first,
-	// first+1, ... (copying the sink's seq column).
-	setSeqs := func(m *StudyMaterial, e int, first int32) {
-		em := &m.Epochs[e]
-		w := m.ActorWorker[actor]
-		sinks := append([]SinkMaterial(nil), em.Sinks...)
-		seq := append([]int32(nil), sinks[w].Seq...)
-		for r := em.Lo[actor]; r < em.Hi[actor]; r++ {
-			seq[r] = first + r - em.Lo[actor]
-		}
-		sinks[w].Seq = seq
-		em.Sinks = sinks
-	}
-	n0 := m.Epochs[0].Hi[actor] - m.Epochs[0].Lo[actor]
 	return map[string]func(*StudyMaterial){
 		"vantage past targets": func(m *StudyMaterial) {
 			editBlock(m, func(b *netsim.RecordBlock) {
@@ -229,23 +204,34 @@ func valueDamage(t *testing.T, m *StudyMaterial, targets int) map[string]func(*S
 		"column length skew": func(m *StudyMaterial) {
 			editBlock(m, func(b *netsim.RecordBlock) { b.Port = b.Port[:len(b.Port)-1] })
 		},
-		"seq repeated across epochs": func(m *StudyMaterial) {
-			// Each run stays strictly increasing and inside [0, n), but
-			// epoch 1 restarts at epoch 0's last seq: the duplicate that
-			// used to stall the merge forever.
-			setSeqs(m, 0, 0)
-			setSeqs(m, 1, n0-1)
-		},
-		"seq out of order within a run": func(m *StudyMaterial) {
-			setSeqs(m, 0, 0)
-			em := &m.Epochs[0]
-			seq := em.Sinks[m.ActorWorker[actor]].Seq
-			lo := em.Lo[actor]
-			seq[lo], seq[lo+1] = seq[lo+1], seq[lo]
-		},
-		"seq past record count": func(m *StudyMaterial) {
-			setSeqs(m, 0, 0)
-			setSeqs(m, 1, n0+1)
-		},
+	}
+}
+
+// tilingDamage returns run-bound mutations that every per-run range
+// check accepts — each run stays inside its sink — but that break the
+// tiling generation guarantees: one actor's epoch-0 run is widened
+// into its predecessor's records (restoring it would duplicate them)
+// or narrowed past its first record (orphaning it).
+func tilingDamage(t *testing.T, m *StudyMaterial) map[string]func(*StudyMaterial) {
+	t.Helper()
+	// actor has records in epoch 0 and does not start its sink.
+	actor := -1
+	for i := range m.ActorWorker {
+		if e0 := &m.Epochs[0]; e0.Lo[i] > 0 && e0.Hi[i] > e0.Lo[i] {
+			actor = i
+			break
+		}
+	}
+	if actor < 0 {
+		t.Fatal("material too small for run-tiling mutations")
+	}
+	shiftLo := func(m *StudyMaterial, by int32) {
+		lo := append([]int32(nil), m.Epochs[0].Lo...)
+		lo[actor] += by
+		m.Epochs[0].Lo = lo
+	}
+	return map[string]func(*StudyMaterial){
+		"overlapping actor runs": func(m *StudyMaterial) { shiftLo(m, -1) },
+		"gap between runs":       func(m *StudyMaterial) { shiftLo(m, 1) },
 	}
 }

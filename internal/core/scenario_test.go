@@ -77,7 +77,7 @@ func TestScenariosDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertStudiesIdentical(t, serial, snap, "streaming snapshot")
+				assertStudiesEquivalent(t, serial, snap, "streaming snapshot")
 				if renderAllAnalyses(snap) != want {
 					t.Fatalf("workers=%d: full-prefix snapshot differs from batch", workers)
 				}

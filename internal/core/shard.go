@@ -2,11 +2,13 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/honeypot"
+	"cloudwatch/internal/ids"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/telescope"
@@ -23,13 +25,8 @@ import (
 // Records are born columnar: dispatch appends the probe's scalar
 // columns (interned vantage id, study seconds, interned payload id,
 // credential-arena index) in one pass. The §3.2 verdict column is
-// filled by the merge (see mergeShards), which anchors each payload's
-// verdict at its first occurrence in canonical record order — the
-// exact verdict serial dispatch memoized — so the result is
-// byte-identical for every worker count. (Keying the memo per shard,
-// as the pre-columnar pipeline did, made worker scheduling leak into
-// the output whenever a payload's verdict differed across destination
-// ports.)
+// filled by the merge (see fillVerdicts); each verdict is a function of
+// its own record, so it cannot depend on worker scheduling.
 type shard struct {
 	dc     dstCache
 	window int32 // drop probes at study-second >= window (0 = keep all)
@@ -198,81 +195,86 @@ func (s *Study) mergeShards(shards []*shard, spans []span) {
 		s.GN.MergeDelta(sh.gn)
 	}
 
-	s.buildVerdicts()
+	s.fillVerdicts(0, map[verdictKey]bool{})
 	s.buildDerived(netsim.PayloadCount())
 }
 
-// buildVerdicts computes the §3.2 verdict column. Each distinct
-// payload is judged exactly once per study, against the transport and
-// port of its first occurrence in canonical record order — precisely
-// the verdict the serial pipeline's payload-keyed memo captured — and
-// every record carrying the payload inherits it. Credential records
-// are malicious by definition; payloadless records are benign. The
-// sources of malicious records feed the GreyNoise exploit set here
-// (the serial pipeline did it inline at dispatch; doing it after the
-// canonical verdicts are fixed keeps the exploit set
-// schedule-independent too).
-func (s *Study) buildVerdicts() {
-	n := s.blk.Len()
-	payCount := netsim.PayloadCount()
+// verdictKey is everything a payload record's §3.2 verdict depends
+// on — the interned payload and the transport and port it arrived on —
+// packed into one word, so memo lookups take the map's 64-bit fast
+// path.
+type verdictKey uint64
 
-	// First occurrence of each payload in canonical order, counting
-	// only credential-free records: the serial memo this reproduces was
-	// consulted after the creds short-circuit, so a record carrying
-	// both a payload and credentials (EmulateAuth collectors) never
-	// anchored a verdict.
-	firstRec := make([]int32, payCount)
-	for i := range firstRec {
-		firstRec[i] = -1
-	}
-	var distinct []netsim.PayloadID
-	for i := 0; i < n; i++ {
-		if s.blk.Cred[i] >= 0 {
+// recordKey returns the verdict key of record i of b.
+func recordKey(b *netsim.RecordBlock, i int) verdictKey {
+	return verdictKey(uint32(b.Pay[i]))<<24 | verdictKey(b.Transport[i])<<16 | verdictKey(b.Port[i])
+}
+
+// judge applies the IDS to the payload, transport and port of k.
+func (k verdictKey) judge(e *ids.Engine) bool {
+	return e.Malicious(wire.Transport(k>>16).String(), uint16(k), netsim.PayloadBytes(netsim.PayloadID(k>>24)))
+}
+
+// fillVerdicts computes the §3.2 verdict of records [base, Len()) into
+// the mal column and feeds the sources of malicious records to the
+// GreyNoise exploit set. Each verdict is maliciousRecord applied to
+// the record alone: credential records are malicious, payloadless
+// records benign, and every other record is judged by the IDS on its
+// own (payload, transport, port), so no verdict depends on record
+// order or on where else the payload was seen. memo holds the keys
+// judged so far and receives the new ones, so each distinct key is
+// judged once per memo; the incremental chain carries one memo across
+// its steps.
+func (s *Study) fillVerdicts(base int, memo map[verdictKey]bool) {
+	n := s.blk.Len()
+
+	// Collect the keys not judged yet. Records come in runs of one key
+	// (one actor probing one port), so a one-key cache skips many map
+	// probes; the zero key (payload 0) never occurs.
+	var fresh []verdictKey
+	var last verdictKey
+	for i := base; i < n; i++ {
+		if s.blk.Cred[i] >= 0 || s.blk.Pay[i] == 0 {
 			continue
 		}
-		if pay := s.blk.Pay[i]; pay != 0 && firstRec[pay] < 0 {
-			firstRec[pay] = int32(i)
-			distinct = append(distinct, pay)
+		k := recordKey(&s.blk, i)
+		if k == last {
+			continue
+		}
+		last = k
+		if _, ok := memo[k]; !ok {
+			memo[k] = false
+			fresh = append(fresh, k)
 		}
 	}
-
-	// Judge each distinct payload in parallel: the verdict is a pure
-	// function of (payload, anchor transport, anchor port), so the
-	// fan-out is order-independent.
-	s.malByPay = make([]int8, payCount)
-	for i := range s.malByPay {
-		s.malByPay[i] = -1
+	verdicts := make([]bool, len(fresh))
+	ParallelEach(len(fresh), func(j int) { verdicts[j] = fresh[j].judge(s.IDS) })
+	for j, k := range fresh {
+		memo[k] = verdicts[j]
 	}
-	ParallelEach(len(distinct), func(k int) {
-		pay := distinct[k]
-		ri := firstRec[pay]
-		v := int8(0)
-		if s.IDS.Malicious(s.blk.Transport[ri].String(), s.blk.Port[ri], netsim.PayloadBytes(pay)) {
-			v = 1
-		}
-		s.malByPay[pay] = v
-	})
 
-	// Fill the verdict column and the exploit set, in parallel chunks
-	// with per-chunk GreyNoise deltas (set unions commute).
-	s.mal = make([]bool, n)
-	chunks := (n + verdictChunk - 1) / verdictChunk
+	// Fill the verdict column and the exploit set in parallel chunks
+	// with per-chunk GreyNoise deltas (set unions commute); the memo is
+	// read-only from here on.
+	s.mal = slices.Grow(s.mal[:base], n-base)[:n]
+	chunks := (n - base + verdictChunk - 1) / verdictChunk
 	var gnMu sync.Mutex
 	ParallelEach(chunks, func(c int) {
-		lo, hi := c*verdictChunk, (c+1)*verdictChunk
-		if hi > n {
-			hi = n
-		}
+		lo := base + c*verdictChunk
+		hi := min(lo+verdictChunk, n)
 		d := greynoise.NewDelta()
+		var last verdictKey
+		lastMal := false
 		for i := lo; i < hi; i++ {
 			m := s.blk.Cred[i] >= 0
-			if !m {
-				if pay := s.blk.Pay[i]; pay != 0 {
-					m = s.malByPay[pay] == 1
+			if !m && s.blk.Pay[i] != 0 {
+				if k := recordKey(&s.blk, i); k != last {
+					last, lastMal = k, memo[k]
 				}
+				m = lastMal
 			}
+			s.mal[i] = m
 			if m {
-				s.mal[i] = true
 				d.ObserveExploit(s.blk.Src[i])
 			}
 		}

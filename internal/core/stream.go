@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,27 +24,26 @@ import (
 // generators run once, and every probe lands in the per-epoch sink its
 // timestamp belongs to — per-epoch record columns, telescope
 // collectors, and GreyNoise deltas. Prefix snapshots (Snapshot)
-// reassemble the first p epochs into a full *Study that is
-// byte-identical to a batch Run truncated at the epoch boundary
+// reassemble the first p epochs into a full *Study that holds the
+// records of a batch Run truncated at the epoch boundary
 // (Config.WindowSec), so every table, figure, and ablation renders on
-// a snapshot unchanged. internal/stream layers the ingestion loop, the
-// K/prefix sweep engine, and the HTTP server on top.
+// a snapshot byte for byte as on that Run. internal/stream layers the
+// ingestion loop, the K/prefix sweep engine, and the HTTP server on
+// top.
 
 // epochSink is one (worker, epoch) cell of the partitioned pipeline:
 // the records, telescope aggregation, and GreyNoise delta of the
-// probes one worker routed into one epoch. seq is the per-actor
-// emission index of each record — the key the snapshot merge uses to
-// restore an actor's emission order across epochs.
+// probes one worker routed into one epoch.
 type epochSink struct {
 	tel *telescope.Collector
 	gn  *greynoise.Delta
 	blk netsim.RecordBlock
-	seq []int32
 }
 
 // actorRuns locates one actor's records inside its worker's epoch
 // sinks: the [lo, hi) record range per epoch. An actor runs on exactly
-// one worker, so all of its epoch runs live in one sink set.
+// one worker, so all of its epoch runs live in one sink set, and the
+// runs of a worker's actors tile each of its sinks in actor order.
 type actorRuns struct {
 	sinks  []*epochSink
 	lo, hi []int32
@@ -62,7 +60,6 @@ type streamShard struct {
 	dc    dstCache
 	eb    netsim.Epochs
 	sinks []*epochSink
-	seq   int32 // per-actor emission counter, reset at actor start
 
 	// Per-source GreyNoise dedup, hoisted out of the sinks: actors emit
 	// long same-source probe runs, but with timestamps routing probes
@@ -149,8 +146,6 @@ func (sh *streamShard) dispatch(p *netsim.Probe) {
 	}
 	sh.observeGN(sink, e, p.Src)
 	sink.blk.AppendAt(vi, sec, nsec, p, pay, creds)
-	sink.seq = append(sink.seq, sh.seq)
-	sh.seq++
 }
 
 // EpochSet is the generated, epoch-partitioned raw material of one
@@ -278,7 +273,6 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 			sink := &epochSink{
 				tel: telescope.New(es.cfg.TelescopeWatch...),
 				gn:  greynoise.NewDelta(),
-				seq: make([]int32, 0, perSink),
 			}
 			sink.blk.UseArena(arena)
 			sink.blk.Grow(perSink)
@@ -298,7 +292,6 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 				for e, sink := range sinks {
 					run.lo[e] = int32(sink.blk.Len())
 				}
-				sh.seq = 0
 				es.actors[i].Run(ctx, sh.dispatch)
 				for e, sink := range sinks {
 					run.hi[e] = int32(sink.blk.Len())
@@ -364,13 +357,13 @@ func (es *EpochSet) EpochTelescopePackets(e int) int {
 }
 
 // Snapshot assembles the immutable study of the first `prefix` epochs
-// (1 ≤ prefix ≤ NumEpochs()): record columns k-way merged per actor in
-// emission order, telescope and GreyNoise shards union-merged, and
-// every derived column (verdicts anchored at first occurrence in the
-// merged canonical order, per-payload facts, per-vantage lists)
-// finalized — so the snapshot renders every table, figure, and
-// ablation exactly like a batch Run truncated at Bound(prefix) (the
-// full-week Run when prefix == NumEpochs()). Each snapshot owns its
+// (1 ≤ prefix ≤ NumEpochs()): record columns appended per actor in
+// (actor, epoch) order, telescope and GreyNoise shards union-merged,
+// and every derived column (per-record verdicts, per-payload facts,
+// per-vantage lists) finalized — so the snapshot renders every table,
+// figure, and ablation exactly like a batch Run truncated at
+// Bound(prefix) (the full-week Run when prefix == NumEpochs()), whose
+// records it holds in a different order. Each snapshot owns its
 // collectors and caches; building one never mutates the EpochSet, so
 // snapshots may be assembled concurrently.
 func (es *EpochSet) Snapshot(prefix int) (*Study, error) {
@@ -422,58 +415,19 @@ func (es *EpochSet) Snapshot(prefix int) (*Study, error) {
 		}
 	}
 
-	// Reassemble the record columns in canonical order: actors in
-	// population order, and within an actor its ingested-epoch runs
-	// k-way merged by emission index — exactly the subsequence a
-	// truncated batch dispatch would have appended.
-	type cursor struct {
-		sink    *epochSink
-		idx, hi int32
-	}
-	var cur []cursor
+	// Lay out the record columns actor-major, each actor's ingested
+	// epoch runs in epoch order. Every verdict is a function of its own
+	// record, so this order reaches no rendered output.
 	for i := range es.runs {
 		run := &es.runs[i]
-		cur = cur[:0]
 		for e := 0; e < prefix; e++ {
 			if run.hi[e] > run.lo[e] {
-				cur = append(cur, cursor{run.sinks[e], run.lo[e], run.hi[e]})
-			}
-		}
-		if len(cur) == 1 {
-			c := cur[0]
-			s.blk.AppendRange(&c.sink.blk, int(c.idx), int(c.hi), credBase[c.sink])
-			continue
-		}
-		for len(cur) > 0 {
-			best := 0
-			for k := 1; k < len(cur); k++ {
-				if cur[k].sink.seq[cur[k].idx] < cur[best].sink.seq[cur[best].idx] {
-					best = k
-				}
-			}
-			// Extend the winning run while it stays below every other
-			// cursor's next emission index, then append it as one range.
-			minOther := int32(math.MaxInt32)
-			for k := range cur {
-				if k != best {
-					if sq := cur[k].sink.seq[cur[k].idx]; sq < minOther {
-						minOther = sq
-					}
-				}
-			}
-			c := &cur[best]
-			lo := c.idx
-			for c.idx < c.hi && c.sink.seq[c.idx] < minOther {
-				c.idx++
-			}
-			s.blk.AppendRange(&c.sink.blk, int(lo), int(c.idx), credBase[c.sink])
-			if c.idx == c.hi {
-				cur = append(cur[:best], cur[best+1:]...)
+				s.blk.AppendRange(&run.sinks[e].blk, int(run.lo[e]), int(run.hi[e]), credBase[run.sinks[e]])
 			}
 		}
 	}
 
-	s.buildVerdicts()
+	s.fillVerdicts(0, map[verdictKey]bool{})
 	s.buildDerived(netsim.PayloadCount())
 	return s, nil
 }

@@ -93,8 +93,10 @@ func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
 }
 
 // TestFinalSnapshotIsTheFullStudy deep-compares the final prefix
-// snapshot against the full-week batch run — records, collectors, and
-// verdicts, not just rendered output.
+// snapshot against the full-week batch run — each vantage's records
+// with their verdicts (as a multiset: the snapshot orders records
+// actor by actor, epoch by epoch) and the collectors, not just
+// rendered output.
 func TestFinalSnapshotIsTheFullStudy(t *testing.T) {
 	cfg := testConfig(42, 2021)
 	want, err := Run(cfg)
@@ -109,7 +111,7 @@ func TestFinalSnapshotIsTheFullStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudiesIdentical(t, want, got, "final snapshot")
+	assertStudiesEquivalent(t, want, got, "final snapshot")
 }
 
 // TestWindowedRunTruncates pins WindowSec semantics: a truncated run

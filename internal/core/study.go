@@ -85,14 +85,13 @@ type Study struct {
 
 	// The columnar record store plus its derived columns: mal is the
 	// per-record §3.2 verdict, byVantage the per-vantage record lists
-	// (indexed by vantage id — Universe target position), malByPay the
-	// frozen per-payload verdict memo, and payKey/payProto the
-	// per-payload normalized key and LZR fingerprint (indexed by
-	// netsim.PayloadID). All are read-only after Run.
+	// (indexed by vantage id — Universe target position), and
+	// payKey/payProto the per-payload normalized key and LZR
+	// fingerprint (indexed by netsim.PayloadID). All are read-only
+	// after Run.
 	blk       netsim.RecordBlock
 	mal       []bool
 	byVantage [][]int32
-	malByPay  []int8 // -1 unknown, 0 benign, 1 malicious
 	payKey    []string
 	payProto  []fingerprint.Protocol
 
@@ -177,9 +176,10 @@ func Run(cfg Config) (*Study, error) {
 // maliciousRecord is the single copy of the §3.2 malicious-traffic
 // definition: any login attempt (bypassing authentication) is
 // malicious; payloadless records are benign; otherwise the
-// Suricata-style engine judges the payload. Payload-keyed memoization
-// is the caller's concern (pipeline shards keep per-payload verdict
-// columns; after Run the merged column freezes into the study).
+// Suricata-style engine judges the payload on the record's own
+// transport and port. The pipeline materializes it as the mal column
+// (fillVerdicts), judging each distinct (payload, transport, port)
+// once.
 func maliciousRecord(e *ids.Engine, rec netsim.Record) bool {
 	if len(rec.Creds) > 0 {
 		return true
@@ -188,25 +188,6 @@ func maliciousRecord(e *ids.Engine, rec netsim.Record) bool {
 		return false
 	}
 	return e.Malicious(rec.Transport.String(), rec.Port, rec.Payload)
-}
-
-// RecordMalicious applies the §3.2 definition to one record. Verdicts
-// for every payload the study collected live in the frozen per-payload
-// verdict column, so the lookup is a lock-free array read; unseen
-// payloads are judged directly without memoization. Safe for
-// concurrent use, so view building can fan out across vantage points.
-func (s *Study) RecordMalicious(rec netsim.Record) bool {
-	if len(rec.Creds) > 0 || (rec.Pay == 0 && len(rec.Payload) == 0) {
-		return maliciousRecord(s.IDS, rec)
-	}
-	pay := rec.Pay
-	if pay == 0 {
-		pay, _ = netsim.LookupPayload(rec.Payload)
-	}
-	if pay > 0 && int(pay) < len(s.malByPay) && s.malByPay[pay] >= 0 {
-		return s.malByPay[pay] == 1
-	}
-	return maliciousRecord(s.IDS, rec)
 }
 
 // NumRecords returns the number of honeypot records collected.

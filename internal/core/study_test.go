@@ -125,7 +125,7 @@ func TestStudyMaliciousClassification(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	malicious, benign := 0, 0
 	s.EachRecord(func(_ int, rec netsim.Record) {
-		if s.RecordMalicious(rec) {
+		if maliciousRecord(s.IDS, rec) {
 			malicious++
 		} else {
 			benign++

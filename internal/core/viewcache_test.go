@@ -16,13 +16,13 @@ var allSlices = []ProtocolSlice{
 }
 
 // freshVantageView computes a vantage view the pre-index way — raw
-// record iteration through View.Add and RecordMalicious — bypassing
+// record iteration through View.Add and maliciousRecord — bypassing
 // both the derived index columns and the view cache. The reference the
 // cached path must match exactly.
 func freshVantageView(s *Study, id string, slice ProtocolSlice) *View {
 	v := NewView(slice)
 	for _, rec := range s.VantageRecords(id) {
-		v.Add(rec, s.RecordMalicious(rec))
+		v.Add(rec, maliciousRecord(s.IDS, rec))
 	}
 	return v
 }
@@ -95,7 +95,7 @@ func TestGroupViewCachedEqualsFresh(t *testing.T) {
 func TestDerivedColumnsMatchDirect(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	s.EachRecord(func(i int, rec netsim.Record) {
-		if got, want := s.mal[i], s.RecordMalicious(rec); got != want {
+		if got, want := s.mal[i], maliciousRecord(s.IDS, rec); got != want {
 			t.Fatalf("record %d: mal column = %v, want %v", i, got, want)
 		}
 		if got, want := s.blk.Hour(i), netsim.HourOf(rec.T); got != want {

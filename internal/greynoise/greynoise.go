@@ -77,16 +77,6 @@ func (s *Service) ObserveExploit(src wire.Addr) {
 	s.exploited[src] = true
 }
 
-// RemoveExploit withdraws an exploit observation: the source drops
-// back to seen-but-not-exploiting. The incremental snapshot assembler
-// uses it when a moved verdict anchor flips a payload benign and no
-// malicious record names the source anymore.
-func (s *Service) RemoveExploit(src wire.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.exploited, src)
-}
-
 // Clone returns a service with the same observation state. The three
 // aggregates are deep-copied, so extending the clone (Merge,
 // MergeDelta, ObserveExploit) never mutates the original — the

@@ -10,7 +10,7 @@ import (
 )
 
 // Stage tracing: cheap span timers around the hot pipeline stages
-// (epoch generation, incremental assembly, verdict repair, store
+// (epoch generation, incremental assembly, snapshot rebuild, store
 // persist, table render). A span costs one time.Now at start and, at
 // End, one histogram observation plus one slot write in a bounded ring
 // of recent spans — nothing allocates after the ring fills. Spans are
@@ -23,7 +23,6 @@ import (
 const (
 	StageEpochGeneration     = "epoch_generation"     // core.GenerateEpochs: one full generator pass
 	StageIncrementalAssembly = "incremental_assembly" // core.Incremental.Advance: one epoch folded in
-	StageVerdictRepair       = "verdict_repair"       // core.Incremental.repairFlips: in-place verdict repair
 	StageSnapshotRebuild     = "snapshot_rebuild"     // core.EpochSet.Snapshot: from-scratch non-tip prefix
 	StageStorePersist        = "store_persist"        // store segment write / manifest advance
 	StageTableRender         = "table_render"         // core.RenderExperiment(AtK): one table or figure

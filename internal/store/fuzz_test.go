@@ -51,8 +51,8 @@ func fuzzSegment(f *testing.F) (*core.StudyMaterial, []byte) {
 	return fuzzSeed.m, fuzzSeed.seg
 }
 
-// shrinkMaterial keeps the first k records of every sink, with their
-// seqs, and clamps the run bounds to them. Every seed byte is still
+// shrinkMaterial keeps the first k records of every sink and clamps
+// the run bounds to them. Every seed byte is still
 // generated data, but a seed stays small enough for the fuzzer to
 // mutate and minimize quickly (whole tiny-study sinks run to hundreds
 // of kilobytes).
@@ -66,8 +66,7 @@ func shrinkMaterial(m *core.StudyMaterial, k int) *core.StudyMaterial {
 			Hi:    make([]int32, len(em.Hi)),
 		}
 		for w, sm := range em.Sinks {
-			blk := headBlock(sm.Blk, k)
-			small.Sinks[w] = core.SinkMaterial{Tel: sm.Tel, GN: sm.GN, Blk: blk, Seq: sm.Seq[:blk.Len()]}
+			small.Sinks[w] = core.SinkMaterial{Tel: sm.Tel, GN: sm.GN, Blk: headBlock(sm.Blk, k)}
 		}
 		for i := range em.Lo {
 			small.Lo[i] = min(em.Lo[i], int32(k))
@@ -137,7 +136,7 @@ func FuzzBinReaderSlices(f *testing.F) {
 	m, _ := fuzzSegment(f)
 	f.Add(wire.AppendI32s(nil, m.ActorWorker))
 	eachSink(m, func(sm *core.SinkMaterial) {
-		f.Add(wire.AppendI32s(nil, sm.Seq))
+		f.Add(wire.AppendI32s(nil, sm.Blk.Vantage))
 		f.Add(wire.AppendU16s(nil, sm.Blk.Port))
 	})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})

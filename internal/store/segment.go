@@ -30,11 +30,12 @@ import (
 // regenerates deterministically and rewrites the segment.
 const (
 	segMagic = "CWEPOCHS"
-	// segVersion 2 added the scenario id to the layout frame. A v1
+	// segVersion 2 added the scenario id to the layout frame; 3 dropped
+	// the per-record emission-seq column from each sink. An older
 	// segment decodes as "nothing recovered": the reader regenerates
 	// deterministically and rewrites the segment in the current format,
 	// the same degradation path as a torn tail.
-	segVersion = 2
+	segVersion = 3
 
 	frameConfig = 1 // normalized study config JSON
 	frameDict   = 2 // payload interner dictionary
@@ -156,7 +157,6 @@ func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
 			win = sm.Tel.AppendBinary(win)
 			win = sm.GN.AppendBinary(win)
 			win = sm.Blk.AppendBinary(win)
-			win = wire.AppendI32s(win, sm.Seq)
 		}
 		win = wire.AppendI32s(win, em.Lo)
 		win = wire.AppendI32s(win, em.Hi)
@@ -173,7 +173,7 @@ func epochSize(em *core.EpochMaterial) int {
 	size := 4 + 4*len(em.Lo) + 4 + 4*len(em.Hi)
 	for w := range em.Sinks {
 		sm := &em.Sinks[w]
-		size += sm.Tel.BinarySize() + sm.GN.BinarySize() + sm.Blk.BinarySize() + 4 + 4*len(sm.Seq)
+		size += sm.Tel.BinarySize() + sm.GN.BinarySize() + sm.Blk.BinarySize()
 	}
 	return size
 }
@@ -273,11 +273,7 @@ func decodeEpoch(payload []byte, workers int, remap []netsim.PayloadID) (*core.E
 		if err != nil {
 			return nil, fmt.Errorf("worker %d records: %w", w, err)
 		}
-		seq := r.I32s()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("worker %d seqs: %w", w, r.Err())
-		}
-		em.Sinks[w] = core.SinkMaterial{Tel: tel, GN: gn, Blk: &blk, Seq: seq}
+		em.Sinks[w] = core.SinkMaterial{Tel: tel, GN: gn, Blk: &blk}
 	}
 	em.Lo = r.I32s()
 	em.Hi = r.I32s()

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -191,25 +193,34 @@ func TestOpenRegeneratesInvalidMaterial(t *testing.T) {
 	cfg := Config{Study: testStudyConfig(42, 2021), Epochs: epochs}
 	regenerated := obs.Default().Counter("store_recovery_total", "Store recovery outcomes.", obs.L("outcome", "regenerated"))
 
-	// edit returns a copy of m whose epoch-e, worker-0 sink went
-	// through mutate (which copies any column it changes).
-	edit := func(m *core.StudyMaterial, e int, mutate func(sm *core.SinkMaterial)) *core.StudyMaterial {
+	// edit returns a copy of m whose epoch e went through mutate
+	// (which copies any column it changes).
+	edit := func(m *core.StudyMaterial, e int, mutate func(em *core.EpochMaterial)) *core.StudyMaterial {
 		bad := *m
 		bad.Epochs = append([]core.EpochMaterial(nil), m.Epochs...)
-		sinks := append([]core.SinkMaterial(nil), bad.Epochs[e].Sinks...)
-		blk := *sinks[0].Blk
-		sinks[0].Blk = &blk
-		mutate(&sinks[0])
-		bad.Epochs[e].Sinks = sinks
+		mutate(&bad.Epochs[e])
 		return &bad
 	}
-	for name, mutate := range map[string]func(sm *core.SinkMaterial){
-		"vantage id past targets": func(sm *core.SinkMaterial) {
-			sm.Blk.Vantage = append([]int32(nil), sm.Blk.Vantage...)
-			sm.Blk.Vantage[0] = 1 << 20
+	for name, mutate := range map[string]func(em *core.EpochMaterial){
+		"vantage id past targets": func(em *core.EpochMaterial) {
+			sinks := append([]core.SinkMaterial(nil), em.Sinks...)
+			blk := *sinks[0].Blk
+			blk.Vantage = append([]int32(nil), blk.Vantage...)
+			blk.Vantage[0] = 1 << 20
+			sinks[0].Blk = &blk
+			em.Sinks = sinks
 		},
-		"repeated emission seqs": func(sm *core.SinkMaterial) {
-			sm.Seq = make([]int32, len(sm.Seq))
+		"overlapping actor runs": func(em *core.EpochMaterial) {
+			// Widen the first run that does not start its sink into the
+			// previous run's records: every bound stays inside the sink.
+			lo := append([]int32(nil), em.Lo...)
+			for i := range lo {
+				if lo[i] > 0 && em.Hi[i] > lo[i] {
+					lo[i]--
+					break
+				}
+			}
+			em.Lo = lo
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -254,6 +265,69 @@ func TestOpenRegeneratesInvalidMaterial(t *testing.T) {
 				t.Fatal("rewritten store did not recover")
 			}
 		})
+	}
+}
+
+// TestOpenRegeneratesOldFormatSegment covers a store left by an older
+// format: a real study segment stamped with format version 2 (the
+// format that still carried a per-record emission-seq column). The
+// store must recover nothing from it, and Open must regenerate
+// (counted as such), serve the same bytes as a freshly generated
+// engine, and rewrite the segment in the current format so the next
+// open recovers.
+func TestOpenRegeneratesOldFormatSegment(t *testing.T) {
+	const epochs = 2
+	const segPath = "study/segment"
+	cfg := Config{Study: testStudyConfig(42, 2021), Epochs: epochs}
+	regenerated := obs.Default().Counter("store_recovery_total", "Store recovery outcomes.", obs.L("outcome", "regenerated"))
+
+	fsys := store.NewMemFS()
+	eng, err := Open(cfg, openTestStore(t, fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := renderEvery(t, eng, epochs)
+
+	// The header is the 8-byte magic and a little-endian u32 version.
+	current := fsys.Bytes(segPath)
+	const versionAt = len("CWEPOCHS")
+	if len(current) < versionAt+4 || binary.LittleEndian.Uint32(current[versionAt:]) == 2 {
+		t.Fatalf("current segment header %x is not a newer format", current[:min(len(current), versionAt+4)])
+	}
+	old := append([]byte(nil), current...)
+	binary.LittleEndian.PutUint32(old[versionAt:], 2)
+	fsys.SetBytes(segPath, old)
+
+	st := openTestStore(t, fsys)
+	if _, m := st.Recovered(); m != nil {
+		t.Fatal("version-2 segment recovered")
+	}
+	before := regenerated.Value()
+	eng2, err := Open(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng2.Recovered() {
+		t.Fatal("version-2 segment was restored")
+	}
+	if got := regenerated.Value() - before; got != 1 {
+		t.Errorf("store_recovery_total{outcome=\"regenerated\"} moved by %d, want 1", got)
+	}
+	if renderEvery(t, eng2, epochs) != want {
+		t.Error("regenerated engine renders differently from a fresh one")
+	}
+	if got := fsys.Bytes(segPath); len(got) < versionAt+4 || !bytes.Equal(got[:versionAt+4], current[:versionAt+4]) {
+		t.Fatalf("rewritten segment header = %x, want the current format's %x", got[:min(len(got), versionAt+4)], current[:versionAt+4])
+	}
+	eng3, err := Open(cfg, openTestStore(t, fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng3.Recovered() {
+		t.Fatal("rewritten store did not recover")
 	}
 }
 
